@@ -33,7 +33,7 @@ use meda_core::{Action, ActionConfig, HazardBox};
 use meda_grid::Rect;
 use meda_telemetry::{global, Json};
 
-use crate::{CanonicalJob, Query, RoutingStrategy};
+use crate::{CanonicalJob, Query, RoutingStrategy, MAX_JOB_DIM, MAX_JOB_HAZARDS};
 
 /// On-disk schema identifier of a cache entry.
 pub const CACHE_SCHEMA: &str = "meda-cache/1";
@@ -249,12 +249,10 @@ impl PersistentCache {
         for path in paths {
             let verdict = fs::read_to_string(&path)
                 .map_err(|e| format!("read: {e}"))
-                .and_then(|text| rehydrate(&text, None).map(|_| ()))
-                .and_then(|()| {
+                .and_then(|text| rehydrate(&text, None))
+                .and_then(|(_, job)| {
                     // The file must be filed under its own digest.
                     let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-                    let text = fs::read_to_string(&path).map_err(|e| format!("read: {e}"))?;
-                    let (_, job) = rehydrate(&text, None)?;
                     let actual = format!("{:016x}", job.digest());
                     if stem == actual {
                         Ok(())
@@ -434,7 +432,7 @@ fn rehydrate(
     let field = |k: &str| doc.get(k).ok_or_else(|| format!("missing field {k}"));
     let width = field("width")?.as_f64().ok_or("width not a number")? as u32;
     let height = field("height")?.as_f64().ok_or("height not a number")? as u32;
-    if width == 0 || height == 0 || width > 4096 || height > 4096 {
+    if width == 0 || height == 0 || width > MAX_JOB_DIM || height > MAX_JOB_DIM {
         return Err(format!("implausible dims {width}x{height}"));
     }
     let start = parse_rect(field("start")?)?;
@@ -448,9 +446,14 @@ fn rehydrate(
     };
     let query = parse_query(field("query")?)?;
     let strategy_query = parse_query(field("strategy_query")?)?;
-    let hazards = field("hazards")?
-        .as_arr()
-        .ok_or("hazards not an array")?
+    let hazards = field("hazards")?.as_arr().ok_or("hazards not an array")?;
+    if hazards.len() > MAX_JOB_HAZARDS {
+        return Err(format!(
+            "{} hazards, limit {MAX_JOB_HAZARDS}",
+            hazards.len()
+        ));
+    }
+    let hazards = hazards
         .iter()
         .map(|j| {
             let a = j.as_arr().ok_or("hazard not an array")?;
@@ -667,5 +670,36 @@ mod tests {
             cache.insert(&job, strategy).expect("insert");
         }
         assert_eq!(cache.validate_all().expect("sound"), 2);
+    }
+
+    #[test]
+    fn misfiled_entry_fails_validation() {
+        let mut cache = temp_cache("misfiled");
+        let job = sample_job(0.9);
+        let strategy = job.synthesize().expect("synth");
+        cache.insert(&job, strategy).expect("insert");
+        // A sound entry copied under another job's digest.
+        let other = sample_job(0.8).digest();
+        fs::copy(cache.entry_path(job.digest()), cache.entry_path(other)).expect("copy");
+        let bad = cache.validate_all().expect_err("misfiled entry must fail");
+        assert_eq!(bad.len(), 1, "only the copy is misfiled: {bad:?}");
+        assert_eq!(bad[0].0, cache.entry_path(other));
+        assert!(bad[0].1.contains("misfiled"), "reason: {}", bad[0].1);
+    }
+
+    #[test]
+    fn oversized_entries_are_rejected() {
+        let job = sample_job(0.9);
+        let strategy = job.synthesize().expect("synth");
+        let text = serialize_entry(&job, &strategy).to_string();
+        let big = format!("\"width\":{}", MAX_JOB_DIM + 1);
+        let wide = text.replacen(&format!("\"width\":{}", job.width), &big, 1);
+        let err = rehydrate(&wide, None).expect_err("dims over the limit");
+        assert!(err.contains("implausible dims"), "{err}");
+        let hazard = "[1,1,1,1,\"3fe0000000000000\"]";
+        let many = vec![hazard; MAX_JOB_HAZARDS + 1].join(",");
+        let crowded = text.replacen("\"hazards\":[]", &format!("\"hazards\":[{many}]"), 1);
+        let err = rehydrate(&crowded, None).expect_err("hazards over the limit");
+        assert!(err.contains("limit"), "{err}");
     }
 }

@@ -227,6 +227,18 @@ fn ordinal_of(vertical: Dir, horizontal: Dir) -> Ordinal {
     }
 }
 
+/// Largest job side either trust boundary accepts: a `meda serve` request's
+/// chip coordinates (so its bounds, and the chip-sized force grid it is
+/// lifted into) and a cache entry's canonical `width` / `height`. Sharing
+/// one limit means every job a request can name can also be stored and
+/// reloaded. 512 cells a side caps a force patch at 2 MiB, far beyond the
+/// paper's 60×30 chips and the 90×90 bench rows.
+pub const MAX_JOB_DIM: u32 = 512;
+
+/// Most hazard boxes either trust boundary accepts per job (a serve
+/// request or a cache entry).
+pub const MAX_JOB_HAZARDS: usize = 1024;
+
 /// A routing job in canonical frame: bounds anchored at `(1, 1)`, oriented
 /// by the lexicographically smallest D4 image. This is the unit the
 /// persistent strategy cache stores and synthesizes.

@@ -60,7 +60,7 @@ mod strategy;
 pub use cache::{CacheStats, PersistentCache, CACHE_SCHEMA};
 pub use canonical::{
     canonicalize, canonicalize_strategy, materialize, CanonicalJob, CanonicalJobKey, JobTransform,
-    D4,
+    D4, MAX_JOB_DIM, MAX_JOB_HAZARDS,
 };
 pub use export::{to_prism_explicit, PrismModel};
 pub use game::{RobustGame, RobustValues};
@@ -71,6 +71,7 @@ pub use query::Query;
 pub use reservations::CorridorReservations;
 pub use serve::{
     parse_request, run_batch, run_stream, BatchOutcome, ServeEngine, ServeOp, ServeRequest,
+    MAX_REQUEST_BYTES,
 };
 pub use solver::{
     max_reach_probability, min_expected_cycles, min_expected_cycles_with_reach, SolverMethod,

@@ -20,7 +20,7 @@
 //! asynchronously with respect to the submitting client — they are just
 //! work items for the pool.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::Path;
 use std::sync::mpsc;
 use std::thread;
@@ -30,8 +30,19 @@ use meda_grid::{ChipDims, Grid, Rect};
 use meda_telemetry::Json;
 
 use crate::cache::{CacheStats, PersistentCache};
-use crate::canonical::{canonicalize, CanonicalJob, JobTransform};
+use crate::canonical::{canonicalize, CanonicalJob, JobTransform, MAX_JOB_DIM, MAX_JOB_HAZARDS};
 use crate::Query;
+
+/// Longest request line `meda serve` accepts, in bytes. It admits a
+/// full-precision per-cell `cells` patch at the [`MAX_JOB_DIM`] limit
+/// (about 22 bytes a cell) and bounds what one line can make the parser
+/// allocate; longer lines get an `error` response and are never buffered
+/// whole.
+pub const MAX_REQUEST_BYTES: usize = 8 << 20;
+
+fn oversized_line() -> String {
+    format!("request line exceeds {MAX_REQUEST_BYTES} bytes")
+}
 
 /// Operation requested by one serve line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,10 +106,18 @@ fn parse_rect_arr(j: &Json) -> Result<Rect, String> {
 /// "config": {"aspect_ratio_max": f, "double_step": b, "ordinal": b,
 /// "morphing": b}}` — `hazards`, `query`, `config`, and `op` optional.
 ///
+/// Sizes are capped before anything is allocated for them: the line at
+/// [`MAX_REQUEST_BYTES`], the bounds' chip coordinates at [`MAX_JOB_DIM`]
+/// (the limit cache entries are held to on load), and the hazard list at
+/// [`MAX_JOB_HAZARDS`].
+///
 /// # Errors
 ///
-/// Returns a human-readable reason for malformed requests.
+/// Returns a human-readable reason for malformed or oversized requests.
 pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
+    if line.len() > MAX_REQUEST_BYTES {
+        return Err(oversized_line());
+    }
     let doc = Json::parse(line)?;
     let id = doc
         .get("id")
@@ -115,6 +134,12 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
     let goal = parse_rect_arr(doc.get("goal").ok_or("missing goal")?)?;
     if bounds.xa < 1 || bounds.ya < 1 {
         return Err("bounds must lie in chip coordinates (xa, ya ≥ 1)".into());
+    }
+    let limit = MAX_JOB_DIM as i32;
+    if bounds.xb > limit || bounds.yb > limit {
+        return Err(format!(
+            "bounds must lie within a {MAX_JOB_DIM}x{MAX_JOB_DIM} chip (xb, yb ≤ {MAX_JOB_DIM})"
+        ));
     }
     if !bounds.contains_rect(start) || !bounds.contains_rect(goal) {
         return Err("start and goal must lie within bounds".into());
@@ -151,6 +176,13 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
         }
         vec![f; cell_count]
     };
+    let hazard_count = doc
+        .get("hazards")
+        .and_then(Json::as_arr)
+        .map_or(0, <[Json]>::len);
+    if hazard_count > MAX_JOB_HAZARDS {
+        return Err(format!("{hazard_count} hazards, limit {MAX_JOB_HAZARDS}"));
+    }
     let hazards = match doc.get("hazards") {
         None => Vec::new(),
         Some(h) => h
@@ -480,22 +512,60 @@ pub fn run_batch(
 ///
 /// Propagates I/O errors from the transport and cache-directory creation.
 pub fn run_stream(
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     cache_dir: &Path,
     capacity: usize,
 ) -> io::Result<CacheStats> {
     let mut engine = ServeEngine::open(cache_dir, capacity)?;
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = engine.handle(&line);
+    let mut buf = Vec::new();
+    while read_capped_line(&mut input, &mut buf)? {
+        let response = if buf.len() > MAX_REQUEST_BYTES {
+            error_response("", &format!("parse: {}", oversized_line()))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => engine.handle(line),
+                Err(_) => error_response("", "parse: request line is not UTF-8"),
+            }
+        };
         writeln!(output, "{response}")?;
         output.flush()?;
     }
     Ok(engine.stats())
+}
+
+/// Reads the next line into `buf` without its `\n` / `\r\n` ending. At
+/// most `MAX_REQUEST_BYTES + 2` bytes are buffered, enough to tell a line
+/// at the limit with a `\r\n` ending from an oversized one; the rest of an
+/// oversized line is skipped. Returns `false` at end of input.
+fn read_capped_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    let cap = MAX_REQUEST_BYTES as u64 + 2;
+    if (&mut *input).take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        return Ok(true);
+    }
+    loop {
+        let chunk = input.fill_buf()?;
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                input.consume(i + 1);
+                return Ok(true);
+            }
+            None if chunk.is_empty() => return Ok(true),
+            None => {
+                let len = chunk.len();
+                input.consume(len);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -591,6 +661,66 @@ mod tests {
         let out = run_batch(&lines, &dir, 8, 1).expect("batch");
         assert!(out.responses[0].contains("\"error\""));
         assert!(out.responses[1].contains("infeasible"));
+    }
+
+    #[test]
+    fn oversized_requests_are_rejected_with_an_error() {
+        let huge = r#"{"id":"h","bounds":[1,1,2000000000,2000000000],"start":[1,1,1,1],"goal":[2,2,2,2],"force":0.9}"#;
+        let err = parse_request(huge).expect_err("huge bounds");
+        assert!(err.contains("chip"), "{err}");
+        let far = r#"{"id":"f","bounds":[99999,99999,100000,100000],"start":[99999,99999,99999,99999],"goal":[100000,100000,100000,100000],"force":0.9}"#;
+        assert!(
+            parse_request(far).is_err(),
+            "a small patch far off the chip"
+        );
+        let edge = MAX_JOB_DIM as i32;
+        let at_limit = format!(
+            r#"{{"id":"e","bounds":[{a},{a},{edge},{edge}],"start":[{a},{a},{a},{a}],"goal":[{edge},{edge},{edge},{edge}],"force":0.9}}"#,
+            a = edge - 3
+        );
+        assert!(
+            parse_request(&at_limit).is_ok(),
+            "the limit itself is admitted"
+        );
+        let hazard = "[1,1,2,2,0.5]";
+        let crowded = request("c", 0, 0).replace(
+            "\"force\"",
+            &format!(
+                "\"hazards\":[{}],\"force\"",
+                vec![hazard; MAX_JOB_HAZARDS + 1].join(",")
+            ),
+        );
+        assert!(parse_request(&crowded)
+            .expect_err("hazards")
+            .contains("limit"));
+        let long = format!("{}{}", request("l", 0, 0), " ".repeat(MAX_REQUEST_BYTES));
+        assert!(parse_request(&long)
+            .expect_err("long line")
+            .contains("exceeds"));
+
+        // The engine answers each with an error line, and the stream keeps
+        // serving the requests after them.
+        let dir = temp_dir("oversized");
+        let lines = vec![huge.to_string(), crowded, request("ok", 0, 0)];
+        let out = run_batch(&lines, &dir, 8, 1).expect("batch");
+        assert!(out.responses[0].contains("\"status\":\"error\""));
+        assert!(out.responses[1].contains("\"status\":\"error\""));
+        assert!(out.responses[2].contains("\"status\":\"ok\""));
+        let mut at_max = request("m", 0, 0);
+        at_max.push_str(&" ".repeat(MAX_REQUEST_BYTES - at_max.len()));
+        let input = format!("{long}\n{huge}\r\n{at_max}\r\n{}", request("s", 0, 0));
+        let mut output = Vec::new();
+        run_stream(input.as_bytes(), &mut output, &dir, 8).expect("stream");
+        let text = String::from_utf8(output).expect("utf8");
+        let replies: Vec<&str> = text.lines().collect();
+        assert_eq!(replies.len(), 4, "{text}");
+        assert!(replies[0].contains("exceeds"));
+        assert!(replies[1].contains("chip"));
+        assert!(
+            replies[2].contains("\"status\":\"ok\""),
+            "a line at the limit is served"
+        );
+        assert!(replies[3].contains("\"status\":\"ok\""));
     }
 
     #[test]

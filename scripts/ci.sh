@@ -3,8 +3,9 @@
 # replay corpus, the concurrent-fleet smoke, the synthesis-service smoke,
 # and (unless --quick) the full-mode paper-scale synthesis bench, the
 # full-mode hard-chaos degradation matrix, the full-mode concurrent-makespan
-# bench, the full-mode serve-latency bench, the profile smoke, and the
-# benchmark-regression gate.
+# bench, the full-mode serve-latency bench, the profile smoke, the
+# repository benchmark's own tests plus a serve-replay correctness smoke,
+# and the benchmark-regression gate.
 # Everything runs without network access (the workspace has zero
 # third-party dependencies — see DESIGN.md §6).
 #
@@ -135,6 +136,21 @@ makespan_full() { cargo run --release -p meda-bench --bin bench_makespan; }
 # cache regression even before bench_compare diffs the committed baseline.
 serve_full()    { cargo run --release -p meda-bench --bin bench_serve; }
 profile_smoke() { cargo run --release -- profile covid-rat; }
+# The repository benchmark (perfbench/, its own workspace) has its own
+# tests, and its serve-replay workload checks every response it replays
+# (no errors, all-hit warm and restart phases, byte-identical restarts,
+# value bits equal to direct synthesis). One second on the held-out seed
+# must end with `"correct":true` on the last line of stdout.
+perfbench_smoke() {
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+  local last
+  last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload serve-replay --seed 7919 --seconds 1 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct":true'*) echo "perfbench-smoke: serve-replay seed 7919 is correct" ;;
+    *) echo "perfbench-smoke: serve-replay did not report \"correct\":true: $last" >&2; return 1 ;;
+  esac
+}
 # Diff the fresh target/bench/ runs against the committed baselines;
 # >25% timing regressions in smoke mode fail (see EXPERIMENTS.md to re-bless).
 bench_gate()    { cargo run --release -p meda-bench --bin bench_compare -- synthesis chaos makespan serve; }
@@ -200,6 +216,7 @@ if [ "$QUICK" -eq 0 ]; then
   stage "makespan-full"           makespan_full
   stage "serve-full"              serve_full
   stage "profile-smoke"           profile_smoke
+  stage "perfbench-smoke"         perfbench_smoke
   stage "bench-gate"              bench_gate
   stage "gate-selftest"           gate_selftest
   stage "chaos-gate-selftest"     chaos_gate_selftest
@@ -207,5 +224,5 @@ if [ "$QUICK" -eq 0 ]; then
   stage "serve-gate-selftest"     serve_gate_selftest
 else
   echo
-  echo "==> --quick: skipping bench-full, chaos-full, makespan-full, serve-full, profile-smoke, bench-gate, gate-selftest, chaos-gate-selftest, makespan-gate-selftest, serve-gate-selftest"
+  echo "==> --quick: skipping bench-full, chaos-full, makespan-full, serve-full, profile-smoke, perfbench-smoke, bench-gate, gate-selftest, chaos-gate-selftest, makespan-gate-selftest, serve-gate-selftest"
 fi
