@@ -11,15 +11,13 @@
 //! * **csr** — the current [`meda_core::RoutingMdp`] builder (perfect
 //!   dense state index + CSR transition arrays).
 //!
-//! On the solver side, each cell times three engines on the cold `Rmin`
-//! query — the pre-PR whole-vector Gauss–Seidel baseline
-//! ([`SolverMethod::GaussSeidel`]), the structure-aware default
-//! (topological value iteration over the SCC condensation), and the
-//! certified `f32` fast path — and reports `construct_solve_speedup`,
-//! the construct+solve ratio of baseline over default engine (the
-//! ISSUE 6 ≥10x acceptance metric on the 90×90 rows). Warm re-solves on
-//! a degraded field run both the default engine and prioritized
-//! sweeping.
+//! On the solver side, each cell times two engines on the cold `Rmin`
+//! query — the whole-vector Gauss–Seidel baseline ([`meda_bench::gs`])
+//! and the product engine (topological value iteration over the SCC
+//! condensation) — and reports `construct_solve_speedup`, the
+//! construct+solve ratio of baseline over product engine (≥10x on the
+//! 90×90 rows). The product engine also re-solves each geometry on a
+//! degraded field.
 //!
 //! Run with `--smoke` for a single small cell (CI wiring); full mode
 //! sweeps the paper-scale matrix (Table V geometries up to 90×90).
@@ -32,13 +30,13 @@ use meda_audit::{
     compute_bounds, verify_bounds, ModelArtifact, ValueKind, BOUNDS_MAX_ITERATIONS,
     CERTIFICATE_EPSILON,
 };
-use meda_bench::{banner, header, row, BenchReport};
+use meda_bench::{banner, gs, header, row, BenchReport};
 use meda_core::{
     frontier_set, Action, ActionConfig, ForceProvider, HealthField, Outcome, RoutingMdp,
 };
 use meda_degradation::HealthLevel;
 use meda_grid::{ChipDims, Grid, Rect};
-use meda_synth::{min_expected_cycles, SolverMethod, SolverOptions};
+use meda_synth::{min_expected_cycles, SolverOptions};
 
 /// The pre-rewrite outcome generation, kept verbatim for the baseline: a
 /// fresh `Vec` per match arm plus a second one in `merge`. The in-tree
@@ -159,8 +157,7 @@ fn build_hashmap_baseline(
 /// Deterministic non-uniform health matrix — synthesis always plans on a
 /// [`HealthField`], so that is the representative construction workload.
 /// `wear` shifts every reading down one bin, modelling mid-job
-/// degradation (pointwise, so healthy values stay a valid warm-start
-/// lower bound for the degraded re-solve).
+/// degradation.
 fn planning_field(area: (u32, u32), wear: u8) -> HealthField {
     const BITS: u8 = 3;
     // Two cells of margin so frontier lookups beyond the routing bounds
@@ -208,19 +205,12 @@ struct CellResult {
     solve_gs_iterations: usize,
     solve_cold_ms: f64,
     solve_cold_iterations: usize,
-    solve_f32_ms: f64,
-    solve_f32_iterations: usize,
-    solve_f32_certified: bool,
     certify_ms: f64,
     certify_width: f64,
     certify_iterations: usize,
     construct_solve_speedup: f64,
     resolve_cold_ms: f64,
     resolve_cold_iterations: usize,
-    resolve_warm_ms: f64,
-    resolve_warm_iterations: usize,
-    resolve_warm_pq_ms: f64,
-    resolve_warm_pq_iterations: usize,
 }
 
 fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult {
@@ -242,26 +232,17 @@ fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult 
         "builders disagree on model size"
     );
 
-    // The pre-PR engine: plain whole-vector Gauss–Seidel sweeps.
-    let gs_options = SolverOptions {
-        method: SolverMethod::GaussSeidel,
-        ..SolverOptions::default()
-    };
-    let (solve_gs_ms, gs) = best_of(reps, || min_expected_cycles(&mdp, gs_options.clone()));
+    // The baseline engine: plain whole-vector Gauss–Seidel sweeps.
+    let (solve_gs_ms, base) = best_of(reps, || {
+        gs::min_expected_cycles(&mdp, SolverOptions::default())
+    });
     // The structure-aware default (topological value iteration).
     let (solve_cold_ms, cold) =
         best_of(reps, || min_expected_cycles(&mdp, SolverOptions::default()));
     assert!(
-        cold.converged && gs.converged,
+        cold.converged && base.converged,
         "cold solves did not converge"
     );
-    // The certified f32 fast path (certification time included — it is
-    // part of the path).
-    let f32_options = SolverOptions {
-        float32: true,
-        ..SolverOptions::default()
-    };
-    let (solve_f32_ms, f32_res) = best_of(reps, || min_expected_cycles(&mdp, f32_options.clone()));
     // The sound certification pass: certified [lo, hi] interval-iteration
     // bounds over the MEC quotient plus the from-scratch re-verification —
     // the full cost of turning the Rmin answer into a value claim
@@ -299,59 +280,13 @@ fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult 
     let construct_solve_speedup =
         (construct_csr_ms + solve_gs_ms) / (construct_csr_ms + solve_cold_ms);
 
-    // Mid-job re-synthesis: same geometry on a degraded field, seeded with
-    // the healthy values (a pointwise lower bound — health only decays).
+    // Mid-job re-synthesis: the same geometry on a degraded field.
     let mdp2 =
         RoutingMdp::build(start, goal, bounds, &degraded, &config).expect("consistent geometry");
-    let seed: Vec<f64> = (0..mdp2.len())
-        .map(|i| {
-            mdp2.state_index(mdp2.state(i))
-                .and_then(|_| mdp.state_index(mdp2.state(i)))
-                .map_or(0.0, |j| cold.values[j])
-        })
-        .collect();
     let (resolve_cold_ms, cold2) = best_of(reps, || {
         min_expected_cycles(&mdp2, SolverOptions::default())
     });
-    let (resolve_warm_ms, warm2) = best_of(reps, || {
-        min_expected_cycles(
-            &mdp2,
-            SolverOptions {
-                warm_start: Some(seed.clone()),
-                ..SolverOptions::default()
-            },
-        )
-    });
-    // The seed replaces the from-above ∞ start, and on ordinal models a
-    // from-below ascent burns down the seed gap geometrically at the
-    // partial-branch rate — slower at paper scale than the from-above
-    // start's near-exact first sweep. Warm full re-solves are therefore
-    // *measured* (the matrix shows cold winning), not asserted faster;
-    // the contract is fixed-point agreement.
-    assert!(
-        cold2.converged && warm2.converged,
-        "degraded re-solves did not converge"
-    );
-    for (c, w) in cold2.values.iter().zip(&warm2.values) {
-        assert!(
-            (!c.is_finite() && !w.is_finite()) || (c - w).abs() <= 1e-6,
-            "warm re-solve disagrees with cold ({c} vs {w})"
-        );
-    }
-    // The same warm re-solve through prioritized sweeping — the method's
-    // home turf is *local* patches; on this global-wear scenario it is
-    // measured, not asserted faster.
-    let (resolve_warm_pq_ms, warm_pq) = best_of(reps, || {
-        min_expected_cycles(
-            &mdp2,
-            SolverOptions {
-                method: SolverMethod::Prioritized,
-                warm_start: Some(seed.clone()),
-                ..SolverOptions::default()
-            },
-        )
-    });
-    assert!(warm_pq.converged, "prioritized re-solve did not converge");
+    assert!(cold2.converged, "degraded re-solve did not converge");
 
     CellResult {
         area,
@@ -362,22 +297,15 @@ fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult 
         construct_hashmap_ms,
         construct_csr_ms,
         solve_gs_ms,
-        solve_gs_iterations: gs.iterations,
+        solve_gs_iterations: base.iterations,
         solve_cold_ms,
         solve_cold_iterations: cold.iterations,
-        solve_f32_ms,
-        solve_f32_iterations: f32_res.iterations,
-        solve_f32_certified: f32_res.float32,
         certify_ms,
         certify_width: cert.width,
         certify_iterations: cert.iterations,
         construct_solve_speedup,
         resolve_cold_ms,
         resolve_cold_iterations: cold2.iterations,
-        resolve_warm_ms,
-        resolve_warm_iterations: warm2.iterations,
-        resolve_warm_pq_ms,
-        resolve_warm_pq_iterations: warm_pq.iterations,
     }
 }
 
@@ -388,16 +316,14 @@ fn to_report(results: &[CellResult], mode: &str) -> BenchReport {
     let mut report = BenchReport::new("synthesis", mode);
     report.note = "construct_hashmap_ms is the pre-rewrite HashMap/nested-Vec builder \
                    reimplemented as a baseline; construct_csr_ms is the dense-index/CSR \
-                   builder; solve_gs_ms is the pre-ISSUE-6 whole-vector Gauss-Seidel \
-                   engine, solve_cold_ms the topological default, solve_f32_ms the \
-                   certified f32 fast path; construct_solve_speedup = \
+                   builder; solve_gs_ms is the frozen whole-vector Gauss-Seidel \
+                   reference engine, solve_cold_ms the topological engine; \
+                   construct_solve_speedup = \
                    (construct_csr + solve_gs) / (construct_csr + solve_cold); \
                    certify_ms is the sound certification pass (interval-iteration \
                    bounds over the MEC quotient plus from-scratch re-verification, \
                    DESIGN.md \u{a7}14) and certify_width the certified interval width; \
-                   resolve_* re-solve the same geometry on a degraded field, cold vs \
-                   warm-started from the healthy-field values (default engine and \
-                   prioritized sweeping)"
+                   resolve_* re-solve the same geometry on a degraded field"
         .to_string();
     for c in results {
         let cell = format!(
@@ -422,15 +348,6 @@ fn to_report(results: &[CellResult], mode: &str) -> BenchReport {
             format!("{cell}.solve_cold_iterations"),
             c.solve_cold_iterations as f64,
         );
-        report.push(format!("{cell}.solve_f32_ms"), c.solve_f32_ms);
-        report.push(
-            format!("{cell}.solve_f32_iterations"),
-            c.solve_f32_iterations as f64,
-        );
-        report.push(
-            format!("{cell}.solve_f32_certified"),
-            f64::from(u8::from(c.solve_f32_certified)),
-        );
         report.push(format!("{cell}.certify_ms"), c.certify_ms);
         report.push(format!("{cell}.certify_width"), c.certify_width);
         report.push(
@@ -446,16 +363,6 @@ fn to_report(results: &[CellResult], mode: &str) -> BenchReport {
             format!("{cell}.resolve_cold_iterations"),
             c.resolve_cold_iterations as f64,
         );
-        report.push(format!("{cell}.resolve_warm_ms"), c.resolve_warm_ms);
-        report.push(
-            format!("{cell}.resolve_warm_iterations"),
-            c.resolve_warm_iterations as f64,
-        );
-        report.push(format!("{cell}.resolve_warm_pq_ms"), c.resolve_warm_pq_ms);
-        report.push(
-            format!("{cell}.resolve_warm_pq_iterations"),
-            c.resolve_warm_pq_iterations as f64,
-        );
     }
     report
 }
@@ -469,7 +376,7 @@ fn main() {
     banner(
         "Synthesis performance — HashMap baseline vs dense-index/CSR builder",
         "Per Table V cell: model size, construction time under both state\n\
-         indexes, and cold vs warm-started Rmin solve. Fastest of N runs.",
+         indexes, and Gauss-Seidel vs topological Rmin solve. Fastest of N runs.",
     );
 
     // Paper-scale matrix (full mode): the Table V geometries scaled up to
@@ -492,7 +399,7 @@ fn main() {
         ]
     };
 
-    let widths = [8, 8, 8, 11, 9, 10, 10, 9, 8, 8, 11];
+    let widths = [8, 8, 8, 11, 9, 10, 10, 9, 8, 11];
     header(
         &[
             "area",
@@ -503,7 +410,6 @@ fn main() {
             "gs it",
             "topo ms",
             "topo it",
-            "f32 ms",
             "cert ms",
             "c+s speedup",
         ],
@@ -522,7 +428,6 @@ fn main() {
                 format!("{}", c.solve_gs_iterations),
                 format!("{:.3}", c.solve_cold_ms),
                 format!("{}", c.solve_cold_iterations),
-                format!("{:.3}", c.solve_f32_ms),
                 format!("{:.3}", c.certify_ms),
                 format!("{:.2}x", c.construct_solve_speedup),
             ],

@@ -40,19 +40,15 @@ fn main() {
     let opts = SolverOptions::default();
     let nominal = {
         let g = build(0);
-        g.min_expected_cycles(opts.clone()).at(g.base().init(), 0)
+        g.min_expected_cycles(opts).at(g.base().init(), 0)
     };
     for budget in 0..=6 {
         let g = build(budget);
-        let k = g
-            .min_expected_cycles(opts.clone())
-            .at(g.base().init(), budget);
+        let k = g.min_expected_cycles(opts).at(g.base().init(), budget);
         // Finite-horizon proxy: probability of reaching the goal "soon" is
         // not directly computed; the guaranteed Pmax over unbounded time is
         // 1 here (interference is transient), so report the cost overhead.
-        let p = g
-            .max_reach_probability(opts.clone())
-            .at(g.base().init(), budget);
+        let p = g.max_reach_probability(opts).at(g.base().init(), budget);
         row(
             &[
                 format!("{budget}"),

@@ -2,12 +2,15 @@
 //! (`crates/bench/src/bin/*`). Each binary reproduces one table or figure
 //! of the paper and prints the same rows/series the paper reports; see
 //! `DESIGN.md` §2 for the experiment index and `EXPERIMENTS.md` for
-//! paper-versus-measured results.
+//! paper-versus-measured results. [`gs`] holds the frozen Gauss–Seidel
+//! reference solver the synthesis bench and the solver tests measure
+//! against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compare;
+pub mod gs;
 pub mod report;
 
 pub use compare::{compare, render, Comparison, DeltaRow, Verdict};

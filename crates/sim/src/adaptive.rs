@@ -7,8 +7,8 @@ use meda_core::{
 };
 use meda_grid::Rect;
 use meda_synth::{
-    canonicalize, canonicalize_strategy, materialize, synthesize, synthesize_with, LibraryKey,
-    PersistentCache, Query, RoutingStrategy, SolverOptions, StrategyLibrary,
+    canonicalize, canonicalize_strategy, materialize, synthesize, LibraryKey, PersistentCache,
+    Query, RoutingStrategy, StrategyLibrary,
 };
 
 use crate::Router;
@@ -78,13 +78,6 @@ pub struct AdaptiveRouter {
     /// which case every digest and synthesis below reduces byte-identically
     /// to the hazard-free behaviour.
     hazards: Vec<HazardBox>,
-    /// Whether the superseded strategy's values still lower-bound the next
-    /// Rmin fixed point. Health only degrades, so this is normally true —
-    /// but *releasing* a hazard box improves the field, and a warm seed
-    /// above the new fixed point would trip the solver's soundness guard.
-    /// Cleared by a weakening [`AdaptiveRouter::set_hazards`], restored by
-    /// the next completed synthesis.
-    warm_valid: bool,
     /// Opt-in persistent content-addressed cache (DESIGN.md §16). `None`
     /// on the default path, which therefore stays byte-identical to the
     /// pre-cache router — golden `meda run`/`meda fleet` traces depend on
@@ -107,7 +100,6 @@ impl AdaptiveRouter {
             resynth_count: 0,
             synthesis_time: Duration::ZERO,
             hazards: Vec::new(),
-            warm_valid: true,
             cache: None,
         }
     }
@@ -141,9 +133,9 @@ impl AdaptiveRouter {
     }
 
     /// The combined health + hazard digest over `bounds` — the quantity
-    /// whose change triggers a (warm prioritized) re-solve. With no hazard
-    /// intersecting the bounds this is exactly the health digest, keeping
-    /// the serial path bit-identical.
+    /// whose change triggers a re-solve. With no hazard intersecting the
+    /// bounds this is exactly the health digest, keeping the serial path
+    /// bit-identical.
     fn scoped_digest(&self, health: &HealthField, bounds: Rect) -> u64 {
         health.digest(bounds) ^ hazard_digest(&self.hazards, bounds)
     }
@@ -160,7 +152,7 @@ impl AdaptiveRouter {
                 if job.is_dispense() || job.goal.contains_rect(job.start) {
                     continue;
                 }
-                if self.synthesize_for(job, job.start, health, None).is_some() {
+                if self.synthesize_for(job, job.start, health).is_some() {
                     stored += 1;
                 }
             }
@@ -193,7 +185,6 @@ impl AdaptiveRouter {
         job: &RoutingJob,
         start: Rect,
         health: &HealthField,
-        previous: Option<&RoutingStrategy>,
     ) -> Option<Arc<RoutingStrategy>> {
         // Peer-corridor hazards fold into the library key: a corridor
         // shift changes the digest exactly like a health change, so stale
@@ -209,10 +200,6 @@ impl AdaptiveRouter {
         if self.config.use_library {
             if let Some(hit) = self.library.get(&key) {
                 telemetry.add("synth.library.hits", 1);
-                // The hit was synthesized under a field with this very
-                // digest, so its values are consistent with the current
-                // field again.
-                self.warm_valid = true;
                 return Some(hit);
             }
             telemetry.add("synth.library.misses", 1);
@@ -246,7 +233,6 @@ impl AdaptiveRouter {
                     RoutingMdp::build(start, job.goal, job.bounds, field, &self.config.actions)
                 {
                     if let Some(strategy) = materialize(&canon, &tf, mdp) {
-                        self.warm_valid = true;
                         return Some(if self.config.use_library {
                             self.library.insert(key, strategy)
                         } else {
@@ -259,7 +245,6 @@ impl AdaptiveRouter {
         } else {
             None
         };
-        let previous = previous.filter(|_| self.warm_valid);
         let _job_span = telemetry.span("synth.job");
         let t0 = Instant::now();
         let result = (|| {
@@ -273,19 +258,7 @@ impl AdaptiveRouter {
                 };
             let mdp =
                 RoutingMdp::build(start, job.goal, job.bounds, field, &self.config.actions).ok()?;
-            let mut options = SolverOptions::default();
-            if self.config.query == Query::MinExpectedCycles {
-                // Re-synthesis after a health patch runs as a warm
-                // prioritized re-solve: health only degrades, so the
-                // superseded strategy's Rmin values lower-bound the new
-                // fixed point, and the priority queue drains only the
-                // patched region. Only valid for this query direction —
-                // Pmax seeds are rejected by the solver.
-                if let Some(prev) = previous.filter(|p| p.query() == Query::MinExpectedCycles) {
-                    options = SolverOptions::patched(Some(prev.warm_start_seed(&mdp)));
-                }
-            }
-            let strategy = synthesize_with(&mdp, self.config.query, options)
+            let strategy = synthesize(&mdp, self.config.query)
                 .or_else(|_| synthesize(&mdp, Query::MaxReachProbability))
                 .ok()?;
             if strategy.query() == Query::MaxReachProbability && strategy.value_at_init() <= 0.0 {
@@ -294,7 +267,6 @@ impl AdaptiveRouter {
             Some(strategy)
         })();
         self.synthesis_time += t0.elapsed();
-        self.warm_valid = true;
         let strategy = result?;
         if let (Some(cache), Some((cjob, tf))) = (self.cache.as_mut(), canonical_ctx.as_ref()) {
             if let Ok(canon_mdp) = cjob.build_mdp() {
@@ -320,7 +292,7 @@ impl Router for AdaptiveRouter {
 
     fn begin_job(&mut self, job: &RoutingJob, health: &HealthField) -> bool {
         self.digest = self.scoped_digest(health, job.bounds);
-        self.strategy = self.synthesize_for(job, job.start, health, None);
+        self.strategy = self.synthesize_for(job, job.start, health);
         self.job = Some(*job);
         self.strategy.is_some()
     }
@@ -331,12 +303,8 @@ impl Router for AdaptiveRouter {
             let digest = self.scoped_digest(health, job.bounds);
             if digest != self.digest {
                 self.digest = digest;
-                // Re-synthesize from the droplet's *current* location,
-                // warm-started from the superseded strategy's values.
-                let previous = self.strategy.clone();
-                if let Some(strategy) =
-                    self.synthesize_for(&job, droplet, health, previous.as_deref())
-                {
+                // Re-synthesize from the droplet's *current* location.
+                if let Some(strategy) = self.synthesize_for(&job, droplet, health) {
                     self.strategy = Some(strategy);
                     self.resynth_count += 1;
                 }
@@ -348,8 +316,8 @@ impl Router for AdaptiveRouter {
         strategy.decide(droplet).or_else(|| {
             // The droplet drifted off the synthesized state set (e.g. a
             // partial ordinal move under a stale strategy); re-synthesize
-            // from here, seeded with the stale strategy's values.
-            let refreshed = self.synthesize_for(&job, droplet, health, Some(&strategy))?;
+            // from here.
+            let refreshed = self.synthesize_for(&job, droplet, health)?;
             let action = refreshed.decide(droplet);
             self.strategy = Some(refreshed);
             action
@@ -357,21 +325,9 @@ impl Router for AdaptiveRouter {
     }
 
     fn set_hazards(&mut self, boxes: &[HazardBox]) {
-        // A purely-strengthening shift (every old box survives at least as
-        // strongly) keeps the old values as valid Rmin lower bounds; any
-        // release or weakening forces the next synthesis to run cold.
-        let strengthening = self.hazards.iter().all(|o| {
-            boxes
-                .iter()
-                .any(|n| n.rect == o.rect && n.factor <= o.factor)
-        });
-        if !strengthening {
-            self.warm_valid = false;
-        }
         self.hazards = boxes.to_vec();
         // The next `next_action` sees a changed scoped digest and re-solves
-        // from the droplet's current position — warm via the prioritized
-        // sweep when the shift only tightened the field, cold otherwise.
+        // from the droplet's current position.
     }
 }
 
@@ -517,7 +473,7 @@ mod tests {
         let mut r = AdaptiveRouter::new(AdaptiveConfig::paper());
         assert!(r.begin_job(&job(), &health));
         // A peer corridor appears inside the bounds mid-job: the scoped
-        // digest changes and the next action re-solves warm.
+        // digest changes and the next action re-solves.
         r.set_hazards(&[meda_core::HazardBox::soft(Rect::new(6, 1, 9, 6), 0.3)]);
         let _ = r.next_action(Rect::new(2, 1, 4, 3), &health);
         assert_eq!(r.resynth_count(), 1);

@@ -18,7 +18,7 @@
 //!   time-expanded soft [`HazardBox`]es. Peer routers see them through
 //!   [`Router::set_hazards`], so strategy synthesis steers *around* busy
 //!   corridors up front; a reservation shift re-keys the strategy digest
-//!   and re-patches via the warm prioritized re-solve.
+//!   and triggers a cold re-solve.
 //! * **Stall escalation**: a droplet stalled past
 //!   [`FleetConfig::stall_patience`] hardens the blocking peer's rectangle
 //!   into a wall hazard and re-synthesizes a detour; the wall is dropped as

@@ -22,7 +22,7 @@
 //! the displaced subtree), rewrites the restart jobs from the droplets'
 //! actual positions, and re-dispatches the operation. Strategy-backed
 //! routers see fresh start/goal/bounds keys and re-synthesize
-//! automatically, with warm prioritized re-solves for the patched regions.
+//! automatically, with a cold solve for the relocated jobs.
 
 use meda_rng::Rng;
 

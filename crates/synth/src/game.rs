@@ -184,7 +184,7 @@ impl RobustGame {
         // reaches the goal a.s. without interference still does under a
         // finite budget (the adversary runs out).
         if cycles {
-            let reach = crate::max_reach_probability(&self.base, options.clone());
+            let reach = crate::max_reach_probability(&self.base, options);
             for i in 0..n {
                 if !self.base.is_goal(i) && reach.values[i] < 1.0 - 1e-6 {
                     for b in 0..width {
@@ -357,9 +357,7 @@ mod tests {
         let mut prev = 0.0;
         for budget in 0..=3 {
             let g = game(budget);
-            let v = g
-                .min_expected_cycles(opts.clone())
-                .at(g.base().init(), budget);
+            let v = g.min_expected_cycles(opts).at(g.base().init(), budget);
             assert!(
                 v >= prev - 1e-9,
                 "budget {budget}: worst-case cost fell from {prev} to {v}"
@@ -375,9 +373,7 @@ mod tests {
         let mut prev = 1.0;
         for budget in 0..=3 {
             let g = game(budget);
-            let p = g
-                .max_reach_probability(opts.clone())
-                .at(g.base().init(), budget);
+            let p = g.max_reach_probability(opts).at(g.base().init(), budget);
             assert!(p <= prev + 1e-9, "budget {budget}: {p} > {prev}");
             assert!(p > 0.0);
             prev = p;

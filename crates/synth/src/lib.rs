@@ -3,7 +3,7 @@
 //!
 //! The paper feeds the per-routing-job MDP ([`meda_core::RoutingMdp`]) and a
 //! reach-avoid query into PRISM-games. Both query types are supported here
-//! by an explicit-state Gauss–Seidel value-iteration engine (see `DESIGN.md`
+//! by an explicit-state topological value-iteration engine (see `DESIGN.md`
 //! §3 for the substitution rationale):
 //!
 //! * `φ_p : Pmax=? [ □¬hazard ∧ ◇goal ]` — [`Query::MaxReachProbability`];
@@ -74,7 +74,7 @@ pub use serve::{
     MAX_REQUEST_BYTES,
 };
 pub use solver::{
-    max_reach_probability, min_expected_cycles, min_expected_cycles_with_reach, SolverMethod,
-    SolverOptions, SolverResult,
+    max_reach_probability, min_expected_cycles, min_expected_cycles_with_reach, SolverOptions,
+    SolverResult,
 };
-pub use strategy::{synthesize, synthesize_with, RoutingStrategy, SynthesisError};
+pub use strategy::{synthesize, RoutingStrategy, SynthesisError};

@@ -3,7 +3,7 @@ use std::time::{Duration, Instant};
 use meda_core::{ActionConfig, BuildError, ForceProvider, MdpStats, RoutingMdp};
 use meda_grid::Rect;
 
-use crate::{synthesize_with, Query, SolverOptions};
+use crate::{synthesize, Query};
 
 /// One row of the Table V measurement: model size plus the wall-clock split
 /// between model construction and strategy synthesis.
@@ -58,7 +58,7 @@ pub fn measure_synthesis(
     let t1 = Instant::now();
     // The timing target is the solve itself; infeasibility is a valid,
     // timed outcome (Algorithm 2's (∅, ∞)).
-    let _ = synthesize_with(&mdp, query, SolverOptions::default());
+    let _ = synthesize(&mdp, query);
     let synthesis = t1.elapsed();
 
     Ok(PerfRecord {

@@ -8,8 +8,7 @@
 //! window, so synthesis steers around the whole corridor instead of
 //! chasing the droplet's instantaneous position cycle by cycle. A shift in
 //! the reservation set (dispatch, completion, stall escalation) changes
-//! the hazard digest and re-patches affected strategies via the warm
-//! prioritized re-solve.
+//! the hazard digest, and affected strategies are re-solved cold.
 
 use std::collections::BTreeMap;
 

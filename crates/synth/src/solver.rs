@@ -1,85 +1,44 @@
-//! The value-iteration engine behind [`crate::synthesize`]:
-//! structure-aware sweeps over the routing MDP's CSR arrays.
+//! The value-iteration engine behind [`crate::synthesize`]: topological
+//! value iteration over the SCC condensation of the routing MDP's CSR
+//! arrays.
 //!
-//! Three sweep methods share one generic kernel (`f64` by default, `f32` on
-//! the certified fast path — see [`SolverOptions::float32`]):
+//! Components are swept in reverse topological order. Acyclic stretches
+//! converge in exactly one backup per state; each cyclic component starts
+//! from above (`∞`) in choice-readiness order — so the first sweep
+//! collapses the `∞` wavefront and lands on an exact proper-policy
+//! evaluation — then re-sorts the sweep order by current value (ascending
+//! for `Rmin`, descending for `Pmax`) between passes. Value order is a
+//! label-correcting order: an optimal action's target is strictly closer to
+//! the goal than its source, so each sweep evaluates the current greedy
+//! policy near-exactly and the loop behaves like Howard policy iteration —
+//! a handful of sweeps at any scale — without materializing a policy graph
+//! (whose ordinal-move branches genuinely contain cycles). Every solve runs
+//! cold, re-synthesis after a health change included.
 //!
-//! * [`SolverMethod::Topological`] — sweep the SCC condensation of the
-//!   transition graph in reverse topological order. Acyclic stretches
-//!   converge in exactly one backup per state; each cyclic component
-//!   starts from above (`∞`) in choice-readiness order — so the first
-//!   sweep collapses the `∞` wavefront and lands on an exact proper-
-//!   policy evaluation — then re-sorts the sweep order by current value
-//!   (ascending for `Rmin`, descending for `Pmax`) between passes.
-//!   Value order is a label-correcting order: an optimal action's target
-//!   is strictly closer to the goal than its source, so each sweep
-//!   evaluates the current greedy policy near-exactly and the loop
-//!   behaves like Howard policy iteration — a handful of sweeps at any
-//!   scale — without materializing a policy graph (whose ordinal-move
-//!   branches genuinely contain cycles).
-//! * [`SolverMethod::Prioritized`] — prioritized sweeping over a bucketed
-//!   priority queue seeded from the goal set, for warm re-solves after a
-//!   local health patch where only a small region needs work.
-//! * [`SolverMethod::GaussSeidel`] — the pre-condensation engine, kept
-//!   verbatim (whole-vector sweeps, unfactored `Pmax` backup) as the
-//!   reference oracle and the benchmark baseline.
+//! The engine restricts numeric iteration to the states that need it: a
+//! graph-only qualitative precomputation (the classic Prob0/Prob1 split —
+//! see [`pmax_qualitative`]) pins `Pmax` to exactly 0 or 1 wherever
+//! reachability is decided by structure alone, and `Rmin`'s `∞`-seeded
+//! states never enter a sweep order. On a healthy field — where every move
+//! has positive success probability — the entire `Pmax` solve reduces to
+//! two graph traversals.
 //!
-//! The structured methods additionally restrict numeric iteration to the
-//! states that need it: a graph-only qualitative precomputation (the
-//! classic Prob0/Prob1 split — see [`pmax_qualitative`]) pins `Pmax` to
-//! exactly 0 or 1 wherever reachability is decided by structure alone, and
-//! `Rmin`'s `∞`-seeded states never enter a sweep order. On a healthy
-//! field — where every move has positive success probability — the entire
-//! `Pmax` solve reduces to two graph traversals.
+//! The engine only declares convergence after a **confirmation sweep**: one
+//! full Jacobi pass against the frozen iterate whose max delta is the true
+//! Bellman residual ([`SolverResult::residual`]). In-place sweep deltas
+//! under-report the residual; the confirmation pass turns "my bookkeeping
+//! says done" into a checkable ε-fixed-point claim, which `meda-audit`
+//! re-verifies independently.
 //!
-//! Whatever the method, the engine only declares convergence after a
-//! **confirmation sweep**: one full Jacobi pass against the frozen iterate
-//! whose max delta is the true Bellman residual ([`SolverResult::residual`]).
-//! In-place sweep deltas and drained queues under-report the residual (a
-//! prioritized drain can leave sub-threshold updates outstanding); the
-//! confirmation pass turns "my bookkeeping says done" into a checkable
-//! ε-fixed-point claim, which `meda-audit` re-verifies independently.
+//! The whole-vector Gauss–Seidel engine this one replaced is kept outside
+//! the product crates, as the frozen benchmark baseline and test reference
+//! in `meda-bench` (its `gs` module).
 
 use meda_core::{Action, Condensation, RoutingMdp};
 use meda_telemetry::Histogram;
 
-/// Sweep-engine selection for the value-iteration solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverMethod {
-    /// Let the solver pick; currently resolves to
-    /// [`SolverMethod::Topological`], which dominates on routing models
-    /// whether they are near-acyclic (one backup per state) or one big
-    /// cyclic component (goal-ordered sweeps).
-    Auto,
-    /// Whole-vector Gauss–Seidel sweeps in state order — the
-    /// pre-condensation engine reproduced faithfully, including its
-    /// unfactored `Pmax` backup (`v ← max_a Σ p·v` with self-loop mass
-    /// recycled across sweeps) and no qualitative precomputation. Kept as
-    /// the reference oracle and the benchmark baseline the structured
-    /// methods are measured against.
-    GaussSeidel,
-    /// Topological value iteration over the SCC condensation
-    /// ([`meda_core::RoutingMdp::condensation`]).
-    Topological,
-    /// Prioritized sweeping with a bucketed priority queue seeded from the
-    /// goal set; best for warm-started re-solves after local degradation.
-    Prioritized,
-}
-
-impl SolverMethod {
-    /// Resolves [`SolverMethod::Auto`] to the concrete method the engine
-    /// will run.
-    #[must_use]
-    pub fn resolve(self) -> SolverMethod {
-        match self {
-            SolverMethod::Auto => SolverMethod::Topological,
-            m => m,
-        }
-    }
-}
-
 /// Options for the value-iteration solver.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
     /// Convergence threshold on the confirmed (frozen-iterate) residual.
     pub epsilon: f64,
@@ -87,47 +46,6 @@ pub struct SolverOptions {
     /// the engine stops once it has spent `max_iterations × states` state
     /// backups, wherever in a sweep that lands.
     pub max_iterations: usize,
-    /// Optional per-state initial value seed for `Rmin` solves.
-    ///
-    /// Health only ever degrades, so expected completion times only ever
-    /// increase — a previous solve's values are a pointwise *lower* bound
-    /// on the new fixed point and make a sound monotone-from-below seed
-    /// (warm start). The seed replaces the structured engines' from-above
-    /// `∞` start, so note the trade: on ordinal-move models the from-below
-    /// ascent closes the seed gap geometrically at the partial-branch
-    /// rate, while the from-above start's first value-ordered sweep is
-    /// already a near-exact policy evaluation — for a *whole-chip* wear
-    /// step the cold solve typically wins. Warm seeds earn their keep on
-    /// [`SolverMethod::Prioritized`] re-solves after *local* patches,
-    /// where the queue drains only the affected region. Ignored by
-    /// [`max_reach_probability`]: `v ≡ 1` is a fixed point of the `Pmax`
-    /// operator (every failure branch self-loops), so `Pmax` iteration
-    /// must start from 0 to converge to the *least* fixed point. Seeds of
-    /// the wrong length are ignored.
-    pub warm_start: Option<Vec<f64>>,
-    /// Opt into parallel Jacobi passes for sweeps over at least
-    /// [`SolverOptions::parallel_threshold`] states. Below the threshold
-    /// (and by default) the solver keeps serial Gauss–Seidel, which needs
-    /// fewer sweeps and has no thread overhead.
-    pub parallel: bool,
-    /// Minimum sweep width before [`SolverOptions::parallel`] takes
-    /// effect.
-    pub parallel_threshold: usize,
-    /// Which sweep engine to run. See [`SolverMethod`].
-    pub method: SolverMethod,
-    /// Run the sweeps on an `f32` value vector (half the memory traffic of
-    /// `f64`), then certify the widened result against the exact `f64`
-    /// Bellman operator via `meda-audit` — in release builds too. If the
-    /// certificate residual exceeds [`SolverOptions::f32_epsilon`] the
-    /// solver transparently falls back to the `f64` engine
-    /// ([`SolverResult::float32_fallback`]).
-    pub float32: bool,
-    /// Acceptance tolerance for the `f32` fast path's post-hoc Bellman
-    /// certificate. Single precision carries ~7 significant digits, so at
-    /// paper-scale `Rmin` values (hundreds of cycles) residuals below
-    /// ~1e-4 are unreachable; the default leaves headroom above that
-    /// noise floor.
-    pub f32_epsilon: f64,
 }
 
 impl Default for SolverOptions {
@@ -135,31 +53,6 @@ impl Default for SolverOptions {
         Self {
             epsilon: 1e-9,
             max_iterations: 100_000,
-            warm_start: None,
-            parallel: false,
-            parallel_threshold: 16_384,
-            method: SolverMethod::Auto,
-            float32: false,
-            f32_epsilon: 1e-3,
-        }
-    }
-}
-
-impl SolverOptions {
-    /// Options for a *patched-region* re-solve: a warm seed from the
-    /// superseded strategy plus [`SolverMethod::Prioritized`] sweeping, so
-    /// the residual queue drains only the region the health patch (or a
-    /// supervisor relocation) actually disturbed instead of re-sweeping
-    /// the whole model. This is the configuration where from-below warm
-    /// seeds earn their keep (see [`SolverOptions::warm_start`]); with no
-    /// seed the prioritized engine still localizes the work around the
-    /// goal set.
-    #[must_use]
-    pub fn patched(warm_start: Option<Vec<f64>>) -> Self {
-        Self {
-            warm_start,
-            method: SolverMethod::Prioritized,
-            ..Self::default()
         }
     }
 }
@@ -182,92 +75,11 @@ pub struct SolverResult {
     /// [`SolverResult::converged`]; infinite if the budget ran out before
     /// any confirmation pass completed.
     pub residual: f64,
-    /// The concrete sweep method that ran ([`SolverMethod::Auto`] already
-    /// resolved).
-    pub method: SolverMethod,
-    /// Whether these values come from the certified `f32` fast path.
-    pub float32: bool,
-    /// Whether an `f32` attempt failed certification and the solver fell
-    /// back to `f64`.
-    pub float32_fallback: bool,
 }
 
 // ---------------------------------------------------------------------------
-// Generic kernel: one Bellman backup, f32 or f64.
+// Kernel: one Bellman backup.
 // ---------------------------------------------------------------------------
-
-/// Float abstraction for the sweep kernels. Methods shadow the inherent
-/// `f32`/`f64` ones under distinct names so the impls cannot self-recurse.
-trait Scalar:
-    Copy
-    + PartialOrd
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Div<Output = Self>
-    + std::ops::AddAssign
-    + Send
-    + Sync
-{
-    const ZERO: Self;
-    const ONE: Self;
-    const INF: Self;
-    fn from_f64(v: f64) -> Self;
-    fn to_f64(self) -> f64;
-    fn sabs(self) -> Self;
-    fn smax(self, other: Self) -> Self;
-    fn finite(self) -> bool;
-    fn infinite(self) -> bool;
-}
-
-impl Scalar for f64 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    const INF: Self = f64::INFINITY;
-    fn from_f64(v: f64) -> Self {
-        v
-    }
-    fn to_f64(self) -> f64 {
-        self
-    }
-    fn sabs(self) -> Self {
-        f64::abs(self)
-    }
-    fn smax(self, other: Self) -> Self {
-        f64::max(self, other)
-    }
-    fn finite(self) -> bool {
-        f64::is_finite(self)
-    }
-    fn infinite(self) -> bool {
-        f64::is_infinite(self)
-    }
-}
-
-impl Scalar for f32 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    const INF: Self = f32::INFINITY;
-    #[allow(clippy::cast_possible_truncation)]
-    fn from_f64(v: f64) -> Self {
-        v as f32
-    }
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-    fn sabs(self) -> Self {
-        f32::abs(self)
-    }
-    fn smax(self, other: Self) -> Self {
-        f32::max(self, other)
-    }
-    fn finite(self) -> bool {
-        f32::is_finite(self)
-    }
-    fn infinite(self) -> bool {
-        f32::is_infinite(self)
-    }
-}
 
 /// Which Bellman operator a solve runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -280,49 +92,36 @@ enum Op {
     Rmin,
 }
 
-impl Op {
-    fn kind(self) -> meda_audit::ValueKind {
-        match self {
-            Op::Pmax => meda_audit::ValueKind::Reachability,
-            Op::Rmin => meda_audit::ValueKind::ExpectedCycles,
-        }
-    }
-}
-
-/// The per-state Bellman backup over borrowed CSR arrays, generic in the
-/// value scalar. Both operators factor pure self-loop mass analytically —
+/// The per-state Bellman backup over borrowed CSR arrays. Both operators
+/// factor pure self-loop mass analytically —
 /// `v = (r + Σ_{j≠i} p_j v_j) / (1 − p_self)` — so stay-in-place failure
 /// branches converge exactly in one backup and singleton SCCs need no
 /// iteration at all.
-struct Kernel<'a, S> {
+struct Kernel<'a> {
     op: Op,
     state_choice_start: &'a [u32],
     choice_action: &'a [Action],
     choice_branch_start: &'a [u32],
     branch_target: &'a [u32],
-    probs: &'a [S],
+    probs: &'a [f64],
     goal: &'a [bool],
-    /// Use the pre-condensation backup semantics so
-    /// [`SolverMethod::GaussSeidel`] stays a faithful reproduction of the
-    /// engine it benchmarks against: the unfactored `Pmax` backup, and
-    /// "any `∞` value is a frozen seed" for `Rmin`.
-    legacy: bool,
-    /// States pinned at their init value (empty = none): the qualitative
-    /// `Pmax` 0/1 states and the `Rmin` `∞` seeds. The structured `Rmin`
-    /// engines iterate *active* states down from `∞`, so an `∞` value
-    /// alone no longer marks a seed — this mask does.
-    frozen: Vec<bool>,
+    /// The iteration domain: `false` marks states pinned at their init
+    /// value — the qualitative `Pmax` 0/1 states and the `Rmin` `∞` seeds
+    /// — which no sweep touches. The engine iterates *active* `Rmin`
+    /// states down from `∞`, so an `∞` value alone does not mark a seed —
+    /// this mask does. The confirmation pass still covers, and certifies,
+    /// every state.
+    active: &'a [bool],
 }
 
 /// "No choice picked" sentinel for the qualitative witness arrays.
 const NO_PICK: u32 = u32::MAX;
 
-impl<S: Scalar> Kernel<'_, S> {
+impl Kernel<'_> {
     /// Full greedy backup: optimizes over every choice, returning the new
     /// value and the argbest action.
-    fn eval(&self, i: usize, values: &[S], choice: &[Option<Action>]) -> (S, Option<Action>) {
+    fn eval(&self, i: usize, values: &[f64], choice: &[Option<Action>]) -> (f64, Option<Action>) {
         match self.op {
-            Op::Pmax if self.legacy => self.eval_pmax_legacy(i, values),
             Op::Pmax => self.eval_pmax(i, values),
             Op::Rmin => self.eval_rmin(i, values, choice),
         }
@@ -332,20 +131,20 @@ impl<S: Scalar> Kernel<'_, S> {
     /// self-loop renormalizes each action to its self-loop-free
     /// equivalent, which has the same reachability values; iteration from
     /// 0 stays monotone to the least fixed point.
-    fn eval_pmax(&self, i: usize, values: &[S]) -> (S, Option<Action>) {
+    fn eval_pmax(&self, i: usize, values: &[f64]) -> (f64, Option<Action>) {
         if self.goal[i] {
-            return (S::ONE, None);
+            return (1.0, None);
         }
-        let near_one = S::ONE - S::from_f64(1e-12);
-        let mut best = S::ZERO;
+        let near_one = 1.0 - 1e-12;
+        let mut best = 0.0;
         let mut best_action = None;
         let c_lo = self.state_choice_start[i] as usize;
         let c_hi = self.state_choice_start[i + 1] as usize;
         for c in c_lo..c_hi {
             let b_lo = self.choice_branch_start[c] as usize;
             let b_hi = self.choice_branch_start[c + 1] as usize;
-            let mut p_self = S::ZERO;
-            let mut rest = S::ZERO;
+            let mut p_self = 0.0;
+            let mut rest = 0.0;
             for b in b_lo..b_hi {
                 let j = self.branch_target[b] as usize;
                 let p = self.probs[b];
@@ -359,36 +158,7 @@ impl<S: Scalar> Kernel<'_, S> {
             if p_self >= near_one {
                 continue;
             }
-            let v = rest / (S::ONE - p_self);
-            if v > best {
-                best = v;
-                best_action = Some(self.choice_action[c]);
-            }
-        }
-        (best, best_action)
-    }
-
-    /// The pre-condensation `Pmax` backup, kept verbatim for
-    /// [`SolverMethod::GaussSeidel`]: plain `v(s) ← max_a Σ p·v` with the
-    /// self-loop mass *not* factored out, so stay-in-place failure
-    /// branches recycle value geometrically across sweeps instead of
-    /// converging in one backup. Same least fixed point, slower route —
-    /// exactly what the benchmark speedups are measured against.
-    fn eval_pmax_legacy(&self, i: usize, values: &[S]) -> (S, Option<Action>) {
-        if self.goal[i] {
-            return (S::ONE, None);
-        }
-        let mut best = S::ZERO;
-        let mut best_action = None;
-        let c_lo = self.state_choice_start[i] as usize;
-        let c_hi = self.state_choice_start[i + 1] as usize;
-        for c in c_lo..c_hi {
-            let b_lo = self.choice_branch_start[c] as usize;
-            let b_hi = self.choice_branch_start[c + 1] as usize;
-            let mut v = S::ZERO;
-            for b in b_lo..b_hi {
-                v += self.probs[b] * values[self.branch_target[b] as usize];
-            }
+            let v = rest / (1.0 - p_self);
             if v > best {
                 best = v;
                 best_action = Some(self.choice_action[c]);
@@ -399,26 +169,30 @@ impl<S: Scalar> Kernel<'_, S> {
 
     /// `v(s) ← min_a (1 + Σ_{s'≠s} p·v) / (1 − p_self)`, skipping actions
     /// with an `∞`-valued successor unless all are.
-    fn eval_rmin(&self, i: usize, values: &[S], choice: &[Option<Action>]) -> (S, Option<Action>) {
+    fn eval_rmin(
+        &self,
+        i: usize,
+        values: &[f64],
+        choice: &[Option<Action>],
+    ) -> (f64, Option<Action>) {
         if self.goal[i] {
-            return (S::ZERO, None);
+            return (0.0, None);
         }
         let current = values[i];
-        // A frozen `∞` seed (no almost-sure strategy) must stay `∞`. Under
-        // the legacy engine every `∞` is a seed; the structured engines
-        // start active states at `∞` too (from-above iteration) and rely
-        // on the mask instead.
-        if Scalar::infinite(current) && (self.legacy || self.frozen.get(i) == Some(&true)) {
+        // A frozen `∞` seed (no almost-sure strategy) must stay `∞`.
+        // Active states start at `∞` too (from-above iteration), so only
+        // the mask tells them apart.
+        if current.is_infinite() && !self.active[i] {
             return (current, None);
         }
-        let near_one = S::ONE - S::from_f64(1e-12);
-        let mut best = S::INF;
+        let near_one = 1.0 - 1e-12;
+        let mut best = f64::INFINITY;
         let mut best_action = None;
         let c_lo = self.state_choice_start[i] as usize;
         let c_hi = self.state_choice_start[i + 1] as usize;
         'choices: for c in c_lo..c_hi {
-            let mut p_self = S::ZERO;
-            let mut rest = S::ZERO;
+            let mut p_self = 0.0;
+            let mut rest = 0.0;
             let b_lo = self.choice_branch_start[c] as usize;
             let b_hi = self.choice_branch_start[c + 1] as usize;
             for b in b_lo..b_hi {
@@ -426,7 +200,7 @@ impl<S: Scalar> Kernel<'_, S> {
                 let p = self.probs[b];
                 if j == i {
                     p_self += p;
-                } else if Scalar::infinite(values[j]) {
+                } else if values[j].is_infinite() {
                     continue 'choices;
                 } else {
                     rest += p * values[j];
@@ -435,13 +209,13 @@ impl<S: Scalar> Kernel<'_, S> {
             if p_self >= near_one {
                 continue;
             }
-            let v = (S::ONE + rest) / (S::ONE - p_self);
+            let v = (1.0 + rest) / (1.0 - p_self);
             if v < best {
                 best = v;
                 best_action = Some(self.choice_action[c]);
             }
         }
-        if Scalar::finite(best) {
+        if best.is_finite() {
             (best, best_action)
         } else {
             (current, choice[i])
@@ -602,8 +376,11 @@ fn pmax_qualitative(
     }
 }
 
-/// Reused per-component scratch for the topological phase.
-struct TopoScratch {
+/// What the topological phase needs besides the kernel: the condensation,
+/// the predecessor lists, and reused per-component scratch.
+struct Topology {
+    cond: Condensation,
+    preds: Preds,
     /// Backward-BFS level per state; `u32::MAX` = unvisited. Reset to the
     /// sentinel (only on touched entries) after every component.
     dist: Vec<u32>,
@@ -611,72 +388,32 @@ struct TopoScratch {
     order: Vec<u32>,
 }
 
-// ---------------------------------------------------------------------------
-// Bucketed priority queue for prioritized sweeping.
-// ---------------------------------------------------------------------------
-
-const PQ_BUCKETS: usize = 64;
-
-/// An in-tree approximate max-priority queue: priorities are bucketed by
-/// `log2(priority / epsilon)`, states pop highest-bucket-first, and
-/// re-prioritization uses lazy deletion (a per-state tag names the one live
-/// bucket; stale entries are skipped on pop). All operations are O(1)
-/// amortized and allocation-free after warm-up.
-struct BucketQueue {
-    buckets: Vec<Vec<u32>>,
-    /// 0 = not queued; otherwise the live bucket + 1.
-    tag: Vec<u8>,
-    /// Highest possibly-non-empty bucket + 1.
-    top: usize,
-    scale: f64,
-}
-
-impl BucketQueue {
-    fn new(n: usize, epsilon: f64) -> Self {
-        Self {
-            buckets: vec![Vec::new(); PQ_BUCKETS],
-            tag: vec![0; n],
-            top: 0,
-            // An epsilon of 0 (run-to-budget) still needs a finite scale.
-            scale: if epsilon > 0.0 { epsilon } else { 1e-12 },
-        }
-    }
-
-    fn bucket_of(&self, priority: f64) -> usize {
-        if priority <= self.scale {
-            return 0;
-        }
-        // ∞ / self.scale saturates through the cast and is clamped.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let b = (priority / self.scale).log2() as usize;
-        b.min(PQ_BUCKETS - 1)
-    }
-
-    /// Queues `i` at `bucket` unless it is already queued at least that
-    /// high. Returns whether the queue changed.
-    fn push(&mut self, i: u32, bucket: usize) -> bool {
-        let slot = &mut self.tag[i as usize];
-        if *slot as usize > bucket {
-            return false;
-        }
-        *slot = (bucket + 1) as u8;
-        self.buckets[bucket].push(i);
-        self.top = self.top.max(bucket + 1);
-        true
-    }
-
-    fn pop(&mut self) -> Option<u32> {
-        while self.top > 0 {
-            let b = self.top - 1;
-            while let Some(i) = self.buckets[b].pop() {
-                if self.tag[i as usize] as usize == b + 1 {
-                    self.tag[i as usize] = 0;
-                    return Some(i);
-                }
+impl Topology {
+    fn build(mdp: &RoutingMdp) -> Self {
+        let telemetry = meda_telemetry::global();
+        let csr = mdp.csr();
+        let n = mdp.len();
+        let cond = mdp.condensation();
+        telemetry.add("synth.solve.scc.components", cond.components() as u64);
+        telemetry.add("synth.solve.scc.nontrivial", cond.nontrivial() as u64);
+        let sizes = telemetry.histogram("synth.solve.scc_size");
+        for k in 0..cond.components() {
+            let m = cond.members_of(k).len();
+            if m > 1 {
+                sizes.record(m as u64);
             }
-            self.top -= 1;
         }
-        None
+        let preds = Preds::build(
+            csr.state_choice_start,
+            csr.choice_branch_start,
+            csr.branch_target,
+        );
+        Self {
+            cond,
+            preds,
+            dist: vec![u32::MAX; n],
+            order: Vec::with_capacity(n),
+        }
     }
 }
 
@@ -684,79 +421,28 @@ impl BucketQueue {
 // The sweep engine.
 // ---------------------------------------------------------------------------
 
-/// How a sweep phase ended.
+/// How the topological phase ended.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// The phase's own convergence criterion was met.
+    /// Every component met its convergence criterion.
     Done,
     /// The eval budget ran out mid-phase.
     Budget,
 }
 
-/// Push/pop counters for prioritized sweeping, flushed to telemetry once
-/// per solve.
-#[derive(Default)]
-struct PqStats {
-    pushes: u64,
-    pops: u64,
-}
-
-struct EngineOutcome {
-    iterations: usize,
-    converged: bool,
-    residual: f64,
-}
-
-/// What a solve needs besides the numeric arrays.
-struct SolveSpec<'a> {
-    op: Op,
-    goal: &'a [bool],
-    method: SolverMethod,
+struct Engine<'a> {
+    kernel: Kernel<'a>,
     epsilon: f64,
-    /// The iteration domain, when restricted: `false` marks states whose
-    /// value is already exact (qualitative `Pmax` regions, `Rmin`'s
-    /// `∞`-seeded states) and which no sweep phase needs to touch. The
-    /// confirmation pass still covers — and certifies — every state.
-    /// `None` means all states iterate.
-    active: Option<&'a [bool]>,
-}
-
-/// Method-specific state, built once per solve.
-enum MethodState {
-    GaussSeidel,
-    Topological {
-        cond: Condensation,
-        preds: Preds,
-        scratch: TopoScratch,
-    },
-    Prioritized {
-        preds: Preds,
-        queue: BucketQueue,
-    },
-}
-
-struct Engine<'a, S: Scalar> {
-    kernel: Kernel<'a, S>,
-    epsilon: S,
-    /// Deltas above this re-queue predecessors in the prioritized phase
-    /// (half of epsilon, so sub-threshold leftovers stay well inside what
-    /// the confirmation pass tolerates).
-    push_threshold: f64,
-    parallel: bool,
-    parallel_threshold: usize,
     /// Total state-backup budget (`max_iterations × states`).
     budget: usize,
     evals: usize,
-    /// Materialized [`SolveSpec::active`] mask (all-true when the domain is
-    /// unrestricted).
-    active: Vec<bool>,
     /// Full greedy (all-choice) sweeps, for telemetry.
     greedy_sweeps: u64,
-    scratch_v: Vec<S>,
+    scratch_v: Vec<f64>,
     scratch_c: Vec<Option<Action>>,
 }
 
-impl<S: Scalar> Engine<'_, S> {
+impl Engine<'_> {
     /// Reserves `batch` state backups against the budget; `false` means
     /// the budget is exhausted and the phase must stop.
     fn try_charge(&mut self, batch: usize) -> bool {
@@ -767,113 +453,27 @@ impl<S: Scalar> Engine<'_, S> {
         true
     }
 
-    /// One full Jacobi pass over `states` against the frozen iterate:
-    /// evaluates into scratch (in parallel when opted in and the batch is
-    /// wide enough), then writes back serially, returning the max delta.
-    /// `changed` (when given) collects the states whose value moved.
-    ///
-    /// A panicking worker is re-raised on the calling thread via
-    /// [`std::panic::resume_unwind`] after every handle is joined, so no
-    /// scratch chunk is left dangling and no panic is swallowed.
-    fn jacobi_pass(
-        &mut self,
-        states: &[u32],
-        values: &mut [S],
-        choice: &mut [Option<Action>],
-        mut changed: Option<&mut Vec<u32>>,
-    ) -> S {
-        let m = states.len();
-        {
-            let frozen_v: &[S] = values;
-            let frozen_c: &[Option<Action>] = choice;
-            let kernel = &self.kernel;
-            let scratch_v = &mut self.scratch_v[..m];
-            let scratch_c = &mut self.scratch_c[..m];
-            if self.parallel && m >= self.parallel_threshold {
-                let threads = std::thread::available_parallelism()
-                    .map_or(1, std::num::NonZeroUsize::get)
-                    .min(m.max(1));
-                let chunk = m.div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(threads);
-                    for ((states_chunk, v_chunk), c_chunk) in states
-                        .chunks(chunk)
-                        .zip(scratch_v.chunks_mut(chunk))
-                        .zip(scratch_c.chunks_mut(chunk))
-                    {
-                        handles.push(scope.spawn(move || {
-                            for (k, &iu) in states_chunk.iter().enumerate() {
-                                let (v, a) = kernel.eval(iu as usize, frozen_v, frozen_c);
-                                v_chunk[k] = v;
-                                c_chunk[k] = a;
-                            }
-                        }));
-                    }
-                    let mut panicked = None;
-                    for h in handles {
-                        if let Err(payload) = h.join() {
-                            panicked = Some(payload);
-                        }
-                    }
-                    if let Some(payload) = panicked {
-                        std::panic::resume_unwind(payload);
-                    }
-                });
-            } else {
-                for (k, &iu) in states.iter().enumerate() {
-                    let (v, a) = kernel.eval(iu as usize, frozen_v, frozen_c);
-                    scratch_v[k] = v;
-                    scratch_c[k] = a;
-                }
-            }
+    /// The confirmation pass: one full Jacobi pass over every state
+    /// against the frozen iterate — evaluates into scratch, then writes
+    /// back — returning the max delta.
+    fn confirmation_pass(&mut self, values: &mut [f64], choice: &mut [Option<Action>]) -> f64 {
+        for i in 0..values.len() {
+            let (v, a) = self.kernel.eval(i, values, choice);
+            self.scratch_v[i] = v;
+            self.scratch_c[i] = a;
         }
-        let mut delta = S::ZERO;
-        for (k, &iu) in states.iter().enumerate() {
-            let i = iu as usize;
-            let v = self.scratch_v[k];
-            // `v == values[i]` also covers matching infinities, where the
+        let mut delta = 0.0_f64;
+        for (i, value) in values.iter_mut().enumerate() {
+            let v = self.scratch_v[i];
+            // `v == *value` also covers matching infinities, where the
             // subtraction would produce NaN.
-            if v != values[i] {
-                delta = delta.smax((v - values[i]).sabs());
-                if let Some(ch) = changed.as_deref_mut() {
-                    ch.push(iu);
-                }
+            if v != *value {
+                delta = delta.max((v - *value).abs());
             }
-            values[i] = v;
-            choice[i] = self.scratch_c[k];
+            *value = v;
+            choice[i] = self.scratch_c[i];
         }
         delta
-    }
-
-    /// Classic whole-vector sweeps until the in-place (or Jacobi) delta
-    /// drops below epsilon; the driver's confirmation pass then validates.
-    fn gauss_seidel_phase(
-        &mut self,
-        all: &[u32],
-        values: &mut [S],
-        choice: &mut [Option<Action>],
-        residuals: &Histogram,
-    ) -> Phase {
-        // An empty domain (every state frozen at its exact value) has
-        // nothing to sweep — without this the zero-charge loop below could
-        // spin forever at `epsilon = 0`.
-        if all.is_empty() {
-            return Phase::Done;
-        }
-        loop {
-            if !self.try_charge(all.len()) {
-                return Phase::Budget;
-            }
-            let delta = if self.parallel && all.len() >= self.parallel_threshold {
-                self.jacobi_pass(all, values, choice, None)
-            } else {
-                gs_sweep(&self.kernel, all, values, choice)
-            };
-            residuals.record(residual_p12(delta.to_f64()));
-            if delta < self.epsilon {
-                return Phase::Done;
-            }
-        }
     }
 
     /// Topological value iteration: components in reverse topological
@@ -891,19 +491,23 @@ impl<S: Scalar> Engine<'_, S> {
     /// ~O(path length) sweeps a fixed order needs.
     fn topological_phase(
         &mut self,
-        cond: &Condensation,
-        preds: &Preds,
-        scratch: &mut TopoScratch,
-        values: &mut [S],
+        topo: &mut Topology,
+        values: &mut [f64],
         choice: &mut [Option<Action>],
         sweeps_hist: &Histogram,
     ) -> Phase {
-        let TopoScratch { dist, order } = scratch;
+        let Topology {
+            cond,
+            preds,
+            dist,
+            order,
+        } = topo;
+        let active = self.kernel.active;
         for k in 0..cond.components() {
             let members = cond.members_of(k);
             if members.len() == 1 {
                 let i = members[0] as usize;
-                if !self.active[i] {
+                if !active[i] {
                     continue;
                 }
                 if !self.try_charge(1) {
@@ -930,9 +534,7 @@ impl<S: Scalar> Engine<'_, S> {
             // determinism.
             for &u in members {
                 let ui = u as usize;
-                if self.active[ui]
-                    && has_ready_choice(&self.kernel, &self.active, cond, comp, dist, ui)
-                {
+                if active[ui] && has_ready_choice(&self.kernel, cond, comp, dist, ui) {
                     dist[ui] = 0;
                     order.push(u);
                 }
@@ -944,9 +546,9 @@ impl<S: Scalar> Engine<'_, S> {
                 for &p in preds.of(u) {
                     let pi = p as usize;
                     if cond.component[pi] == comp
-                        && self.active[pi]
+                        && active[pi]
                         && dist[pi] == u32::MAX
-                        && has_ready_choice(&self.kernel, &self.active, cond, comp, dist, pi)
+                        && has_ready_choice(&self.kernel, cond, comp, dist, pi)
                     {
                         dist[pi] = 0;
                         order.push(p);
@@ -958,7 +560,7 @@ impl<S: Scalar> Engine<'_, S> {
             // is appended in member order so every active state is swept.
             for &u in members {
                 let ui = u as usize;
-                if self.active[ui] && dist[ui] == u32::MAX {
+                if active[ui] && dist[ui] == u32::MAX {
                     dist[ui] = 0;
                     order.push(u);
                 }
@@ -968,23 +570,16 @@ impl<S: Scalar> Engine<'_, S> {
             }
             let m = order.len();
             let mut sweeps = 0u64;
-            // While the from-above `∞` wavefront is still collapsing, a
-            // Jacobi pass (frozen iterate) can only advance it one edge
-            // layer per sweep; the readiness-ordered Gauss–Seidel sweep
-            // collapses it in one pass. Only finite sweeps are worth
-            // parallelizing.
-            let mut wave = order.iter().any(|&u| Scalar::infinite(values[u as usize]));
+            // While the from-above `∞` wavefront is still collapsing, keep
+            // the readiness order: it collapses the wavefront in one pass.
+            let mut wave = order.iter().any(|&u| values[u as usize].is_infinite());
             let status = loop {
                 if !self.try_charge(m) {
                     break Phase::Budget;
                 }
                 sweeps += 1;
                 self.greedy_sweeps += 1;
-                let delta = if self.parallel && !wave && m >= self.parallel_threshold {
-                    self.jacobi_pass(order, values, choice, None)
-                } else {
-                    gs_sweep(&self.kernel, order, values, choice)
-                };
+                let delta = gs_sweep(&self.kernel, order, values, choice);
                 if delta < self.epsilon {
                     break Phase::Done;
                 }
@@ -994,7 +589,7 @@ impl<S: Scalar> Engine<'_, S> {
                     // wavefront from a live one — re-scan the values.
                     // Still-`∞` states (fenced behind frozen seeds) keep
                     // sweeping; the driver's restart net resolves them.
-                    wave = order.iter().any(|&u| Scalar::infinite(values[u as usize]));
+                    wave = order.iter().any(|&u| values[u as usize].is_infinite());
                     if wave {
                         continue;
                     }
@@ -1032,46 +627,6 @@ impl<S: Scalar> Engine<'_, S> {
         }
         Phase::Done
     }
-
-    /// Prioritized sweeping: drain the bucketed queue highest-priority
-    /// first, re-queueing the predecessors of any state whose value moved
-    /// by more than the push threshold.
-    fn prioritized_phase(
-        &mut self,
-        queue: &mut BucketQueue,
-        preds: &Preds,
-        values: &mut [S],
-        choice: &mut [Option<Action>],
-        stats: &mut PqStats,
-    ) -> Phase {
-        while let Some(iu) = queue.pop() {
-            if !self.try_charge(1) {
-                return Phase::Budget;
-            }
-            stats.pops += 1;
-            let i = iu as usize;
-            let (v, a) = self.kernel.eval(i, values, choice);
-            let delta = if v == values[i] {
-                S::ZERO
-            } else {
-                (v - values[i]).sabs()
-            };
-            values[i] = v;
-            choice[i] = a;
-            let d = delta.to_f64();
-            if d > self.push_threshold {
-                let bucket = queue.bucket_of(d);
-                for &p in preds.of(i) {
-                    let pi = p as usize;
-                    if p != iu && self.active[pi] && !self.kernel.goal[pi] && queue.push(p, bucket)
-                    {
-                        stats.pushes += 1;
-                    }
-                }
-            }
-        }
-        Phase::Done
-    }
 }
 
 /// True when some choice of `i` could be backed up right now with no
@@ -1082,9 +637,8 @@ impl<S: Scalar> Engine<'_, S> {
 /// the `∞` seeds, exactly as [`Kernel::eval_rmin`]'s skip rule does.
 /// Choices with no non-self branch (numerically pure self-loops) never
 /// qualify; the backup skips those too.
-fn has_ready_choice<S: Scalar>(
-    kernel: &Kernel<'_, S>,
-    active: &[bool],
+fn has_ready_choice(
+    kernel: &Kernel<'_>,
     cond: &Condensation,
     comp: u32,
     dist: &[u32],
@@ -1102,7 +656,7 @@ fn has_ready_choice<S: Scalar>(
                 continue;
             }
             moves = true;
-            if !active[j] {
+            if !kernel.active[j] {
                 if kernel.op == Op::Rmin {
                     continue 'choices;
                 }
@@ -1121,18 +675,18 @@ fn has_ready_choice<S: Scalar>(
 
 /// One in-place greedy Gauss–Seidel sweep over `order`, returning the max
 /// delta.
-fn gs_sweep<S: Scalar>(
-    kernel: &Kernel<'_, S>,
+fn gs_sweep(
+    kernel: &Kernel<'_>,
     order: &[u32],
-    values: &mut [S],
+    values: &mut [f64],
     choice: &mut [Option<Action>],
-) -> S {
-    let mut delta = S::ZERO;
+) -> f64 {
+    let mut delta = 0.0_f64;
     for &iu in order {
         let i = iu as usize;
         let (v, a) = kernel.eval(i, values, choice);
         if v != values[i] {
-            delta = delta.smax((v - values[i]).sabs());
+            delta = delta.max((v - values[i]).abs());
         }
         values[i] = v;
         choice[i] = a;
@@ -1150,180 +704,79 @@ fn residual_p12(delta: f64) -> u64 {
     }
 }
 
-/// Builds the method-specific state for a non-empty iteration domain:
-/// condensation + backward-BFS scratch for the topological method, or the
-/// seeded bucket queue for prioritized sweeping. The queue seeds are the
-/// *anchor frontier* — active predecessors of the goal set and of any
-/// frozen (inactive) state — where the first Bellman improvements can
-/// appear.
-fn build_method_state<S: Scalar>(
+/// Runs the topological engine from `values` over the `active` domain to
+/// (confirmed) convergence or budget exhaustion. See the module docs for
+/// the confirmation contract.
+fn solve(
     mdp: &RoutingMdp,
-    spec: &SolveSpec<'_>,
-    eng: &Engine<'_, S>,
-    stats: &mut PqStats,
-) -> MethodState {
-    let telemetry = meda_telemetry::global();
-    let csr = mdp.csr();
-    let n = mdp.len();
-    match spec.method {
-        SolverMethod::GaussSeidel => MethodState::GaussSeidel,
-        SolverMethod::Auto | SolverMethod::Topological => {
-            let cond = mdp.condensation();
-            telemetry.add("synth.solve.scc.components", cond.components() as u64);
-            telemetry.add("synth.solve.scc.nontrivial", cond.nontrivial() as u64);
-            let sizes = telemetry.histogram("synth.solve.scc_size");
-            for k in 0..cond.components() {
-                let m = cond.members_of(k).len();
-                if m > 1 {
-                    sizes.record(m as u64);
-                }
-            }
-            let preds = Preds::build(
-                csr.state_choice_start,
-                csr.choice_branch_start,
-                csr.branch_target,
-            );
-            MethodState::Topological {
-                cond,
-                preds,
-                scratch: TopoScratch {
-                    dist: vec![u32::MAX; n],
-                    order: Vec::with_capacity(n),
-                },
-            }
-        }
-        SolverMethod::Prioritized => {
-            let preds = Preds::build(
-                csr.state_choice_start,
-                csr.choice_branch_start,
-                csr.branch_target,
-            );
-            let mut queue = BucketQueue::new(n, spec.epsilon);
-            for i in 0..n {
-                if spec.goal[i] || !eng.active[i] {
-                    for &p in preds.of(i) {
-                        let pi = p as usize;
-                        if eng.active[pi] && !spec.goal[pi] && queue.push(p, PQ_BUCKETS - 1) {
-                            stats.pushes += 1;
-                        }
-                    }
-                }
-            }
-            MethodState::Prioritized { preds, queue }
-        }
-    }
-}
-
-/// Runs the selected sweep method to (confirmed) convergence or budget
-/// exhaustion. See the module docs for the confirmation contract.
-fn run_engine<S: Scalar>(
-    mdp: &RoutingMdp,
-    spec: &SolveSpec<'_>,
-    probs: &[S],
-    options: &SolverOptions,
-    values: &mut [S],
-    choice: &mut [Option<Action>],
-) -> EngineOutcome {
+    op: Op,
+    goal: &[bool],
+    active: &[bool],
+    mut values: Vec<f64>,
+    options: SolverOptions,
+) -> SolverResult {
     let telemetry = meda_telemetry::global();
     let csr = mdp.csr();
     let n = values.len();
-    let kernel = Kernel {
-        op: spec.op,
-        state_choice_start: csr.state_choice_start,
-        choice_action: csr.choice_action,
-        choice_branch_start: csr.choice_branch_start,
-        branch_target: csr.branch_target,
-        probs,
-        goal: spec.goal,
-        legacy: spec.method == SolverMethod::GaussSeidel,
-        frozen: spec
-            .active
-            .map_or_else(Vec::new, |a| a.iter().map(|&b| !b).collect()),
-    };
-    let active: Vec<bool> = spec.active.map_or_else(|| vec![true; n], <[bool]>::to_vec);
-    let domain: Vec<u32> = (0..n as u32).filter(|&i| active[i as usize]).collect();
     let mut eng = Engine {
-        kernel,
-        epsilon: S::from_f64(spec.epsilon),
-        push_threshold: spec.epsilon / 2.0,
-        parallel: options.parallel,
-        parallel_threshold: options.parallel_threshold.max(1),
+        kernel: Kernel {
+            op,
+            state_choice_start: csr.state_choice_start,
+            choice_action: csr.choice_action,
+            choice_branch_start: csr.choice_branch_start,
+            branch_target: csr.branch_target,
+            probs: csr.branch_prob,
+            goal,
+            active,
+        },
+        epsilon: options.epsilon,
         budget: options.max_iterations.saturating_mul(n),
         evals: 0,
-        active,
         greedy_sweeps: 0,
-        scratch_v: vec![S::ZERO; n],
+        scratch_v: vec![0.0; n],
         scratch_c: vec![None; n],
     };
     let residuals = telemetry.histogram("synth.solve.residual_p12");
     let scc_sweeps = telemetry.histogram("synth.solve.scc_sweeps");
-    let mut stats = PqStats::default();
+    // With every state frozen at its exact value (e.g. `Pmax` fully
+    // decided by the qualitative precomputation) there is nothing to
+    // sweep, and the confirmation pass alone certifies and assigns
+    // choices.
+    let mut topology = active.contains(&true).then(|| Topology::build(mdp));
 
-    let mut state = if domain.is_empty() {
-        // Every state is frozen at its exact value (e.g. `Pmax` fully
-        // decided by the qualitative precomputation): no phase has work,
-        // and the confirmation pass alone certifies and assigns choices.
-        MethodState::GaussSeidel
-    } else {
-        build_method_state(mdp, spec, &eng, &mut stats)
-    };
-
-    let all: Vec<u32> = (0..n as u32).collect();
-    let mut changed: Vec<u32> = Vec::new();
+    let mut choice: Vec<Option<Action>> = vec![None; n];
     let mut converged = false;
     let mut residual = f64::INFINITY;
     let mut retries = 0u64;
     loop {
-        let status = match &mut state {
-            MethodState::GaussSeidel => eng.gauss_seidel_phase(&domain, values, choice, &residuals),
-            MethodState::Topological {
-                cond,
-                preds,
-                scratch,
-            } => eng.topological_phase(cond, preds, scratch, values, choice, &scc_sweeps),
-            MethodState::Prioritized { preds, queue } => {
-                eng.prioritized_phase(queue, preds, values, choice, &mut stats)
-            }
+        let status = match &mut topology {
+            Some(topo) => eng.topological_phase(topo, &mut values, &mut choice, &scc_sweeps),
+            None => Phase::Done,
         };
         if status == Phase::Budget || !eng.try_charge(n) {
             break;
         }
         // Confirmation pass: the phase believes it is done; re-measure the
-        // residual against the frozen iterate, where no in-place update or
-        // drained-queue bookkeeping can hide outstanding error.
-        changed.clear();
-        let delta = eng.jacobi_pass(&all, values, choice, Some(&mut changed));
-        residuals.record(residual_p12(delta.to_f64()));
-        residual = delta.to_f64();
+        // residual against the frozen iterate, where no in-place update
+        // can hide outstanding error.
+        let delta = eng.confirmation_pass(&mut values, &mut choice);
+        residuals.record(residual_p12(delta));
+        residual = delta;
         if delta < eng.epsilon {
             // From-above safety net: an active state still at `∞` after a
             // converged descent sits in a mutually-`∞` cluster the skip-∞
             // backup cannot enter (every choice disabled by an `∞`
             // branch). Restart exactly those states from 0 — the classic
-            // ascent — so they settle to the same fixed point the legacy
-            // engine reports.
-            if spec.op == Op::Rmin && !eng.kernel.frozen.is_empty() {
-                let stuck: Vec<u32> = (0..n as u32)
-                    .filter(|&iu| {
-                        let i = iu as usize;
-                        eng.active[i] && !spec.goal[i] && Scalar::infinite(values[i])
-                    })
+            // ascent — so they settle to the same fixed point a from-0
+            // solve reports.
+            if op == Op::Rmin {
+                let stuck: Vec<usize> = (0..n)
+                    .filter(|&i| active[i] && !goal[i] && values[i].is_infinite())
                     .collect();
                 if !stuck.is_empty() {
                     telemetry.add("synth.solve.rmin.inf_restarts", stuck.len() as u64);
-                    for &iu in &stuck {
-                        values[iu as usize] = S::ZERO;
-                    }
-                    if let MethodState::Prioritized { preds, queue } = &mut state {
-                        for &iu in &stuck {
-                            queue.push(iu, PQ_BUCKETS - 1);
-                            for &p in preds.of(iu as usize) {
-                                let pi = p as usize;
-                                if p != iu && eng.active[pi] && !spec.goal[pi] {
-                                    queue.push(p, PQ_BUCKETS - 1);
-                                }
-                            }
-                        }
+                    for &i in &stuck {
+                        values[i] = 0.0;
                     }
                     retries += 1;
                     continue;
@@ -1333,18 +786,6 @@ fn run_engine<S: Scalar>(
             break;
         }
         retries += 1;
-        if let MethodState::Prioritized { preds, queue } = &mut state {
-            // Re-seed from what the confirmation pass actually moved.
-            for &iu in &changed {
-                for &p in preds.of(iu as usize) {
-                    let pi = p as usize;
-                    if p != iu && eng.active[pi] && !spec.goal[pi] && queue.push(p, PQ_BUCKETS - 1)
-                    {
-                        stats.pushes += 1;
-                    }
-                }
-            }
-        }
     }
     if retries > 0 {
         telemetry.add("synth.solve.confirm.retries", retries);
@@ -1352,187 +793,12 @@ fn run_engine<S: Scalar>(
     if eng.greedy_sweeps > 0 {
         telemetry.add("synth.solve.sweeps.greedy", eng.greedy_sweeps);
     }
-    if stats.pushes > 0 || stats.pops > 0 {
-        telemetry.add("synth.solve.pq.pushes", stats.pushes);
-        telemetry.add("synth.solve.pq.pops", stats.pops);
-    }
-    EngineOutcome {
-        iterations: eng.evals.div_ceil(n.max(1)),
-        converged,
-        residual,
-    }
-}
-
-/// Dispatches one query through the engine, taking the `f32` fast path
-/// first when opted in: solve in single precision, widen, certify against
-/// the exact `f64` Bellman operator (in release builds too), and fall back
-/// to the `f64` engine if the certificate misses
-/// [`SolverOptions::f32_epsilon`].
-fn solve_query(
-    mdp: &RoutingMdp,
-    op: Op,
-    goal: &[bool],
-    init: &[f64],
-    domain: Option<Vec<bool>>,
-    options: &SolverOptions,
-) -> SolverResult {
-    let method = options.method.resolve();
-    let csr = mdp.csr();
-    let n = mdp.len();
-    // The structured methods restrict numeric iteration to the states that
-    // need it. For `Pmax` the qualitative precomputation overrides the
-    // caller's init with the graph-decided exact values; for `Rmin` the
-    // `∞`-seeded states are frozen. The Gauss–Seidel baseline keeps the
-    // pre-optimization whole-vector behavior, caller init included.
-    let (init, active, qual): (Vec<f64>, Option<Vec<bool>>, Option<Qualitative>) = if method
-        == SolverMethod::GaussSeidel
-    {
-        (init.to_vec(), None, None)
-    } else {
-        match op {
-            Op::Pmax => {
-                let preds = Preds::build(
-                    csr.state_choice_start,
-                    csr.choice_branch_start,
-                    csr.branch_target,
-                );
-                let q = pmax_qualitative(
-                    csr.state_choice_start,
-                    csr.choice_branch_start,
-                    csr.branch_target,
-                    goal,
-                    &preds,
-                );
-                let telemetry = meda_telemetry::global();
-                let prob1 = q.prob1.iter().filter(|&&b| b).count();
-                let prob0 = q.reach.iter().filter(|&&b| !b).count();
-                telemetry.add("synth.solve.pmax.prob1", prob1 as u64);
-                telemetry.add("synth.solve.pmax.prob0", prob0 as u64);
-                telemetry.add("synth.solve.pmax.maybe", (n - prob1 - prob0) as u64);
-                let init = q
-                    .prob1
-                    .iter()
-                    .map(|&one| if one { 1.0 } else { 0.0 })
-                    .collect();
-                let active = (0..n).map(|i| q.reach[i] && !q.prob1[i]).collect();
-                (init, Some(active), Some(q))
-            }
-            Op::Rmin => {
-                // The caller knows which `∞`-seeded states are frozen
-                // (no a.s. strategy) versus merely *starting* at `∞`
-                // for the from-above iteration; fall back to the
-                // finite-init criterion when it does not say.
-                let active = domain.unwrap_or_else(|| init.iter().map(|v| v.is_finite()).collect());
-                (init.to_vec(), Some(active), None)
-            }
-        }
-    };
-    let init = init.as_slice();
-    // A certified almost-surely-winning action beats the degenerate
-    // first-of-equals tie break the confirmation sweep leaves on `Pmax = 1`
-    // states (where every sensible action backs up to exactly 1).
-    let apply_witness = |choice: &mut [Option<Action>]| {
-        if let Some(q) = &qual {
-            for (i, c) in q.witness.iter().enumerate() {
-                if q.prob1[i] && !goal[i] && *c != NO_PICK {
-                    choice[i] = Some(csr.choice_action[*c as usize]);
-                }
-            }
-        }
-    };
-    if options.float32 {
-        let telemetry = meda_telemetry::global();
-        #[allow(clippy::cast_possible_truncation)]
-        let probs32: Vec<f32> = csr.branch_prob.iter().map(|&p| p as f32).collect();
-        let mut v32: Vec<f32> = init.iter().map(|&v| f32::from_f64(v)).collect();
-        let mut c32: Vec<Option<Action>> = vec![None; n];
-        let spec = SolveSpec {
-            op,
-            goal,
-            method,
-            // Iterate somewhat past the acceptance tolerance so rounding
-            // noise in the final sweeps cannot eat the whole budget.
-            epsilon: options.epsilon.max(options.f32_epsilon / 4.0),
-            active: active.as_deref(),
-        };
-        let out = run_engine(mdp, &spec, &probs32, options, &mut v32, &mut c32);
-        let artifact = meda_audit::ModelArtifact::from(mdp);
-        let (wide, cert) = meda_audit::certify_f32(&artifact, &v32, op.kind());
-        // `inconsistent` is deliberately not consulted: near the
-        // `Pmax ≥ 1 − 1e-6` seeding threshold it can disagree with the
-        // solver's thresholding by design (see `debug_certify`).
-        if out.converged && cert.max_residual <= options.f32_epsilon && cert.out_of_range.is_empty()
-        {
-            telemetry.add("synth.solve.f32.used", 1);
-            apply_witness(&mut c32);
-            return SolverResult {
-                values: wide,
-                choice: c32,
-                iterations: out.iterations,
-                converged: true,
-                residual: out.residual,
-                method,
-                float32: true,
-                float32_fallback: false,
-            };
-        }
-        telemetry.add("synth.solve.f32.fallback", 1);
-        let mut values = init.to_vec();
-        let mut choice: Vec<Option<Action>> = vec![None; n];
-        let spec = SolveSpec {
-            op,
-            goal,
-            method,
-            epsilon: options.epsilon,
-            active: active.as_deref(),
-        };
-        let out = run_engine(
-            mdp,
-            &spec,
-            csr.branch_prob,
-            options,
-            &mut values,
-            &mut choice,
-        );
-        apply_witness(&mut choice);
-        return SolverResult {
-            values,
-            choice,
-            iterations: out.iterations,
-            converged: out.converged,
-            residual: out.residual,
-            method,
-            float32: false,
-            float32_fallback: true,
-        };
-    }
-    let mut values = init.to_vec();
-    let mut choice: Vec<Option<Action>> = vec![None; n];
-    let spec = SolveSpec {
-        op,
-        goal,
-        method,
-        epsilon: options.epsilon,
-        active: active.as_deref(),
-    };
-    let out = run_engine(
-        mdp,
-        &spec,
-        csr.branch_prob,
-        options,
-        &mut values,
-        &mut choice,
-    );
-    apply_witness(&mut choice);
     SolverResult {
         values,
         choice,
-        iterations: out.iterations,
-        converged: out.converged,
-        residual: out.residual,
-        method,
-        float32: false,
-        float32_fallback: false,
+        iterations: eng.evals.div_ceil(n.max(1)),
+        converged,
+        residual,
     }
 }
 
@@ -1540,16 +806,13 @@ fn solve_query(
 /// flat CSR transition arrays (hazard avoidance is structural — see
 /// [`meda_core::RoutingMdp`]).
 ///
-/// Values start at 1 on goal states and 0 elsewhere; the iteration is
-/// monotone from below, so the fixed point is the least fixed point — the
-/// correct maximal reachability probability.
-/// [`SolverOptions::warm_start`] is ignored here (see its docs).
-///
-/// The structured methods first run the graph-only [`pmax_qualitative`]
-/// precomputation, pinning states to exactly 0 (no path to goal) or
-/// exactly 1 (an almost-surely-winning strategy exists, whose witness
-/// action becomes the state's choice) and iterating only the remainder —
-/// none at all on a healthy field.
+/// The graph-only [`pmax_qualitative`] precomputation first pins states to
+/// exactly 0 (no path to goal) or exactly 1 (an almost-surely-winning
+/// strategy exists, whose witness action becomes the state's choice);
+/// only the remainder iterates — none at all on a healthy field. That
+/// iteration starts from 0 and is monotone from below, so the fixed point
+/// is the least fixed point — the correct maximal reachability
+/// probability.
 ///
 /// # Examples
 ///
@@ -1575,9 +838,40 @@ pub fn max_reach_probability(mdp: &RoutingMdp, options: SolverOptions) -> Solver
     let telemetry = meda_telemetry::global();
     let _solve_span = telemetry.span("solve.pmax");
     let n = mdp.len();
+    let csr = mdp.csr();
     let goal: Vec<bool> = (0..n).map(|i| mdp.is_goal(i)).collect();
-    let init: Vec<f64> = goal.iter().map(|&g| if g { 1.0 } else { 0.0 }).collect();
-    let result = solve_query(mdp, Op::Pmax, &goal, &init, None, &options);
+    let preds = Preds::build(
+        csr.state_choice_start,
+        csr.choice_branch_start,
+        csr.branch_target,
+    );
+    let q = pmax_qualitative(
+        csr.state_choice_start,
+        csr.choice_branch_start,
+        csr.branch_target,
+        &goal,
+        &preds,
+    );
+    let prob1 = q.prob1.iter().filter(|&&b| b).count();
+    let prob0 = q.reach.iter().filter(|&&b| !b).count();
+    telemetry.add("synth.solve.pmax.prob1", prob1 as u64);
+    telemetry.add("synth.solve.pmax.prob0", prob0 as u64);
+    telemetry.add("synth.solve.pmax.maybe", (n - prob1 - prob0) as u64);
+    let init = q
+        .prob1
+        .iter()
+        .map(|&one| if one { 1.0 } else { 0.0 })
+        .collect();
+    let active: Vec<bool> = (0..n).map(|i| q.reach[i] && !q.prob1[i]).collect();
+    let mut result = solve(mdp, Op::Pmax, &goal, &active, init, options);
+    // A certified almost-surely-winning action beats the degenerate
+    // first-of-equals tie break the confirmation sweep leaves on `Pmax = 1`
+    // states (where every sensible action backs up to exactly 1).
+    for (i, c) in q.witness.iter().enumerate() {
+        if q.prob1[i] && !goal[i] && *c != NO_PICK {
+            result.choice[i] = Some(csr.choice_action[*c as usize]);
+        }
+    }
     telemetry.add("synth.solve.pmax.count", 1);
     telemetry.add("synth.solve.pmax.iterations", result.iterations as u64);
     debug_certify(mdp, &result, meda_audit::ValueKind::Reachability, &options);
@@ -1586,8 +880,7 @@ pub fn max_reach_probability(mdp: &RoutingMdp, options: SolverOptions) -> Solver
 
 /// Dev-build certification hook: every converged solve leaving this module
 /// must pass `meda-audit`'s Bellman-residual certificate — one exact backup
-/// of the claimed operator, independent of the solver's trajectory (any
-/// method, warm-started or parallel alike).
+/// of the claimed operator, independent of the solver's trajectory.
 ///
 /// The engine's confirmation sweep guarantees the frozen-iterate residual
 /// is below `epsilon` at convergence, and both operators are 1-Lipschitz,
@@ -1595,9 +888,6 @@ pub fn max_reach_probability(mdp: &RoutingMdp, options: SolverOptions) -> Solver
 /// the certificate gets a 4x allowance over `epsilon` (floored near f64
 /// round-off) rather than the orders-of-magnitude slack the unconfirmed
 /// in-place delta used to need.
-///
-/// Accepted `f32` results are skipped: they were already certified — in
-/// release builds too — at [`SolverOptions::f32_epsilon`].
 ///
 /// Only the residual over finite states is asserted here: near the
 /// `Pmax ≥ 1 − 1e-6` seeding threshold a heavily degraded field can make
@@ -1613,7 +903,7 @@ fn debug_certify(
     options: &SolverOptions,
 ) {
     #[cfg(debug_assertions)]
-    if result.converged && !result.float32 {
+    if result.converged {
         let artifact = meda_audit::ModelArtifact::from(mdp);
         let cert = meda_audit::bellman_certificate(&artifact, &result.values, kind);
         let tolerance = (options.epsilon * 4.0).max(1e-9);
@@ -1641,24 +931,13 @@ fn debug_certify(
 /// already hold it should use [`min_expected_cycles_with_reach`].
 #[must_use]
 pub fn min_expected_cycles(mdp: &RoutingMdp, options: SolverOptions) -> SolverResult {
-    let reach = max_reach_probability(
-        mdp,
-        SolverOptions {
-            warm_start: None,
-            ..options.clone()
-        },
-    );
+    let reach = max_reach_probability(mdp, options);
     min_expected_cycles_with_reach(mdp, options, &reach)
 }
 
 /// [`min_expected_cycles`] reusing an already-computed
 /// [`max_reach_probability`] result for the `Pmax = 1` pre-seeding, so the
 /// reachability fixed point is not recomputed.
-///
-/// If [`SolverOptions::warm_start`] is set, finite seed values initialize
-/// the almost-surely-reaching states; since expected cycles only grow as
-/// health degrades, the converged values must dominate the seed — asserted
-/// in debug builds.
 #[must_use]
 pub fn min_expected_cycles_with_reach(
     mdp: &RoutingMdp,
@@ -1669,73 +948,30 @@ pub fn min_expected_cycles_with_reach(
     let _solve_span = telemetry.span("solve.rmin");
     let n = mdp.len();
     assert_eq!(reach.values.len(), n, "reach result from a different MDP");
-    let seed = options.warm_start.as_deref().filter(|s| s.len() == n);
-    if options.warm_start.is_some() {
-        if seed.is_some() {
-            telemetry.add("synth.solve.warm_start.used", 1);
-        } else {
-            telemetry.add("synth.solve.warm_start.rejected", 1);
-        }
-    }
     let goal: Vec<bool> = (0..n).map(|i| mdp.is_goal(i)).collect();
-    // Only states with Pmax = 1 admit finite expected time; seed the rest
-    // with ∞ so the SSP iteration cannot cheat through them.
+    // Only states with Pmax = 1 admit finite expected time; the rest stay
+    // frozen at ∞ so the SSP iteration cannot cheat through them.
     //
-    // The structured engines start the iterable states at ∞ too and
-    // converge *from above*: every cycle costs at least one cycle per
-    // step, so value iteration contracts to the unique fixed point from
-    // any start, and from above it is monotone *descending*. In the
-    // goal-backward sweep order the first sweep already evaluates a
-    // proper policy exactly (an ∞-valued successor disables a choice, so
-    // values turn finite layer by layer along real goal-reaching paths),
-    // and the remaining sweeps only relax locally around degraded cells —
-    // where the classic from-0 ascent instead creeps for hundreds of
-    // sweeps as same-layer neighbors bootstrap off each other's
-    // underestimates. A warm-start seed (a from-below bound) or the
-    // Gauss–Seidel baseline keep the pre-optimization from-0 ascent.
-    let from_above = options.method.resolve() != SolverMethod::GaussSeidel;
-    let init: Vec<f64> = (0..n)
-        .map(|i| {
-            if goal[i] {
-                0.0
-            } else if reach.values[i] < 1.0 - 1e-6 {
-                f64::INFINITY
-            } else {
-                match seed {
-                    Some(s) if s[i].is_finite() && s[i] > 0.0 => s[i],
-                    _ if from_above => f64::INFINITY,
-                    _ => 0.0,
-                }
-            }
-        })
+    // The iterable states start at ∞ too and converge *from above*: every
+    // cycle costs at least one cycle per step, so value iteration
+    // contracts to the unique fixed point from any start, and from above
+    // it is monotone *descending*. In the goal-backward sweep order the
+    // first sweep already evaluates a proper policy exactly (an ∞-valued
+    // successor disables a choice, so values turn finite layer by layer
+    // along real goal-reaching paths), and the remaining sweeps only relax
+    // locally around degraded cells — where the classic from-0 ascent
+    // instead creeps for hundreds of sweeps as same-layer neighbors
+    // bootstrap off each other's underestimates.
+    let active: Vec<bool> = (0..n)
+        .map(|i| goal[i] || reach.values[i] >= 1.0 - 1e-6)
         .collect();
-    let domain: Option<Vec<bool>> = from_above.then(|| {
-        (0..n)
-            .map(|i| goal[i] || reach.values[i] >= 1.0 - 1e-6)
-            .collect()
-    });
-    let result = solve_query(mdp, Op::Rmin, &goal, &init, domain, &options);
+    let init: Vec<f64> = goal
+        .iter()
+        .map(|&g| if g { 0.0 } else { f64::INFINITY })
+        .collect();
+    let result = solve(mdp, Op::Rmin, &goal, &active, init, options);
     telemetry.add("synth.solve.rmin.count", 1);
     telemetry.add("synth.solve.rmin.iterations", result.iterations as u64);
-
-    if let Some(s) = seed {
-        // Degradation monotonicity makes an honestly-obtained seed an
-        // *approximate* lower bound on the new fixed point — approximate
-        // because a degraded cell can shift outcome probability onto a
-        // partial-move landing state with a better continuation, lowering
-        // Rmin locally by sub-cycle amounts. Convergence never depends on
-        // the seed being a bound (the shortest-path fixed point is
-        // unique), so only gross mismatches — a seed from the wrong
-        // geometry or query — are rejected here.
-        debug_assert!(
-            (0..n).all(|i| {
-                !result.values[i].is_finite()
-                    || !s[i].is_finite()
-                    || result.values[i] >= s[i] - (2.0 + 0.05 * s[i])
-            }),
-            "warm-start seed was grossly above the Rmin fixed point"
-        );
-    }
     debug_certify(
         mdp,
         &result,
@@ -1864,7 +1100,6 @@ mod tests {
             SolverOptions {
                 epsilon: 0.0,
                 max_iterations: 2,
-                ..SolverOptions::default()
             },
         );
         assert!(!r.converged);
@@ -1875,330 +1110,43 @@ mod tests {
     fn with_reach_matches_recomputed_reach() {
         let mdp = area_mdp(0.6);
         let opts = SolverOptions::default();
-        let reach = max_reach_probability(&mdp, opts.clone());
-        let via = min_expected_cycles_with_reach(&mdp, opts.clone(), &reach);
+        let reach = max_reach_probability(&mdp, opts);
+        let via = min_expected_cycles_with_reach(&mdp, opts, &reach);
         let direct = min_expected_cycles(&mdp, opts);
         assert_eq!(via.values, direct.values);
         assert_eq!(via.choice, direct.choice);
     }
 
     #[test]
-    fn warm_start_reaches_same_fixed_point_with_bounded_overhead() {
-        // Solve on a healthy field, then on a degraded one, cold vs seeded
-        // with the healthy values (a valid lower bound: health only
-        // degrades, values only grow). A from-below seed replaces the
-        // from-above start, so it cannot *beat* the cold solve's handful
-        // of value-ordered sweeps — the contract is agreement on the
-        // fixed point at comparable cost, not fewer sweeps.
-        let healthy = min_expected_cycles(&area_mdp(1.0), SolverOptions::default());
-        let degraded = area_mdp(0.5);
-        let cold = min_expected_cycles(&degraded, SolverOptions::default());
-        let warm = min_expected_cycles(
-            &degraded,
-            SolverOptions {
-                warm_start: Some(healthy.values),
-                ..SolverOptions::default()
-            },
-        );
-        assert!(cold.converged && warm.converged);
-        for (c, w) in cold.values.iter().zip(&warm.values) {
-            assert!((c - w).abs() < 1e-9, "cold {c} vs warm {w}");
-        }
-        assert!(
-            warm.iterations <= 2 * cold.iterations + 4,
-            "warm {} blew past cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        // Seeding with the exact fixed point converges immediately.
-        let exact = min_expected_cycles(
-            &degraded,
-            SolverOptions {
-                warm_start: Some(cold.values.clone()),
-                ..SolverOptions::default()
-            },
-        );
-        assert!(exact.iterations <= cold.iterations);
-        for (c, e) in cold.values.iter().zip(&exact.values) {
-            assert!((c - e).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn warm_start_is_ignored_by_pmax() {
-        // Seeding Pmax from above would freeze it at a spurious fixed
-        // point (v ≡ 1 through self-loops); the solver must ignore it.
-        let dims = ChipDims::new(5, 1);
-        let mut f = Grid::new(dims, 1.0);
-        f[Cell::new(3, 1)] = 0.0;
-        let mdp = RoutingMdp::build(
-            Rect::new(1, 1, 1, 1),
-            Rect::new(5, 1, 5, 1),
-            Rect::new(1, 1, 5, 1),
-            &RawField::new(f),
-            &ActionConfig::cardinal_only(),
-        )
-        .unwrap();
-        let seeded = max_reach_probability(
-            &mdp,
-            SolverOptions {
-                warm_start: Some(vec![1.0; mdp.len()]),
-                ..SolverOptions::default()
-            },
-        );
-        assert!(seeded.values[mdp.init()] < 1e-9);
-    }
-
-    #[test]
-    fn parallel_jacobi_matches_serial_gauss_seidel() {
-        let mdp = area_mdp(0.7);
-        let serial = min_expected_cycles(&mdp, SolverOptions::default());
-        let parallel = min_expected_cycles(
-            &mdp,
-            SolverOptions {
-                parallel: true,
-                parallel_threshold: 1, // force the Jacobi path
-                ..SolverOptions::default()
-            },
-        );
-        assert!(serial.converged && parallel.converged);
-        for (s, p) in serial.values.iter().zip(&parallel.values) {
-            assert!((s - p).abs() < 1e-7, "serial {s} vs parallel {p}");
-        }
-        let pr = max_reach_probability(
-            &mdp,
-            SolverOptions {
-                parallel: true,
-                parallel_threshold: 1,
-                ..SolverOptions::default()
-            },
-        );
-        let sr = max_reach_probability(&mdp, SolverOptions::default());
-        for (s, p) in sr.values.iter().zip(&pr.values) {
-            assert!((s - p).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn below_threshold_stays_serial() {
-        // With the default threshold a small model must not pay for
-        // threads: same result, same (serial) iteration count.
-        let mdp = line_mdp(0.5);
-        let serial = min_expected_cycles(&mdp, SolverOptions::default());
-        let gated = min_expected_cycles(
-            &mdp,
-            SolverOptions {
-                parallel: true,
-                ..SolverOptions::default()
-            },
-        );
-        assert_eq!(serial.iterations, gated.iterations);
-        assert_eq!(serial.values, gated.values);
-    }
-
-    // -- structure-aware engine ---------------------------------------------
-
-    fn detour_mdp() -> RoutingMdp {
-        let dims = ChipDims::new(7, 5);
-        let mut f = Grid::new(dims, 1.0);
-        for y in 1..=4 {
-            f[Cell::new(4, y)] = 0.05;
-        }
-        RoutingMdp::build(
-            Rect::new(1, 1, 1, 1),
-            Rect::new(7, 1, 7, 1),
-            Rect::new(1, 1, 7, 5),
-            &RawField::new(f),
-            &ActionConfig::cardinal_only(),
-        )
-        .unwrap()
-    }
-
-    fn assert_close(a: &[f64], b: &[f64], tol: f64, what: &str) {
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            if x.is_infinite() || y.is_infinite() {
-                assert_eq!(x, y, "{what}: state {i} finite/infinite mismatch");
-            } else {
-                assert!(
-                    (x - y).abs() <= tol * f64::max(1.0, y.abs()),
-                    "{what}: state {i}: {x} vs {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn all_methods_agree_on_a_degraded_field() {
-        let mdp = detour_mdp();
-        let with = |method| SolverOptions {
-            method,
-            ..SolverOptions::default()
-        };
-        let base_p = max_reach_probability(&mdp, with(SolverMethod::GaussSeidel));
-        let base_r = min_expected_cycles(&mdp, with(SolverMethod::GaussSeidel));
-        assert_eq!(base_p.method, SolverMethod::GaussSeidel);
-        for method in [SolverMethod::Topological, SolverMethod::Prioritized] {
-            let p = max_reach_probability(&mdp, with(method));
-            let r = min_expected_cycles(&mdp, with(method));
-            assert!(p.converged && r.converged, "{method:?} did not converge");
-            assert_eq!(p.method, method);
-            assert_close(&p.values, &base_p.values, 1e-7, "Pmax");
-            assert_close(&r.values, &base_r.values, 1e-7, "Rmin");
-        }
-    }
-
-    #[test]
-    fn auto_resolves_to_topological() {
-        let mdp = line_mdp(0.5);
-        let r = min_expected_cycles(&mdp, SolverOptions::default());
-        assert_eq!(r.method, SolverMethod::Topological);
-        assert!(!r.float32 && !r.float32_fallback);
-    }
-
-    #[test]
-    fn cyclic_scc_fixture_exercises_within_scc_iteration() {
-        // Reversible cardinal moves glue every non-goal state into one big
-        // SCC, so this fixture forces the within-component iteration path
-        // (goal-anchored backward-BFS sweep order) rather than the
-        // one-backup acyclic shortcut.
-        let mdp = area_mdp(0.5);
-        let cond = mdp.condensation();
-        assert_eq!(cond.nontrivial(), 1);
-        assert!(cond.largest() > 1);
-        let with = |method| SolverOptions {
-            method,
-            ..SolverOptions::default()
-        };
-        let topo = min_expected_cycles(&mdp, with(SolverMethod::Topological));
-        let gs = min_expected_cycles(&mdp, with(SolverMethod::GaussSeidel));
-        assert!(topo.converged && gs.converged);
-        assert_close(&topo.values, &gs.values, 1e-7, "cyclic Rmin");
-    }
-
-    #[test]
     fn convergence_is_confirmed_against_the_frozen_iterate() {
-        // Prioritized sweeping can drain its queue while sub-threshold
-        // updates are still outstanding, and in-place sweep deltas are not
-        // Jacobi residuals; the old convergence check took both at face
-        // value. The engine must instead confirm against the frozen
-        // iterate, so a converged result carries a true Bellman residual
-        // below epsilon — checkable by one exact audit backup, with no
-        // orders-of-magnitude slack.
+        // In-place sweep deltas are not Jacobi residuals; the engine must
+        // confirm against the frozen iterate, so a converged result
+        // carries a true Bellman residual below epsilon — checkable by one
+        // exact audit backup, with no orders-of-magnitude slack.
         let mdp = area_mdp(0.3);
-        for method in [
-            SolverMethod::GaussSeidel,
-            SolverMethod::Topological,
-            SolverMethod::Prioritized,
-        ] {
-            let options = SolverOptions {
-                epsilon: 1e-3,
-                method,
-                ..SolverOptions::default()
-            };
-            let r = min_expected_cycles(&mdp, options.clone());
-            assert!(r.converged, "{method:?} did not converge");
-            assert!(
-                r.residual < options.epsilon,
-                "{method:?}: confirmed residual {} not below epsilon",
-                r.residual
-            );
-            let artifact = meda_audit::ModelArtifact::from(&mdp);
-            let cert = meda_audit::bellman_certificate(
-                &artifact,
-                &r.values,
-                meda_audit::ValueKind::ExpectedCycles,
-            );
-            // 1-Lipschitz: one exact backup after the confirmation write-
-            // back moves values by at most the confirmed residual.
-            assert!(
-                cert.max_residual <= options.epsilon * 1.01,
-                "{method:?}: audit residual {} exceeds epsilon",
-                cert.max_residual
-            );
-        }
-    }
-
-    #[test]
-    fn float32_fast_path_is_certified_or_falls_back() {
-        let mdp = area_mdp(0.6);
         let options = SolverOptions {
-            float32: true,
+            epsilon: 1e-3,
             ..SolverOptions::default()
         };
-        let r = min_expected_cycles(&mdp, options.clone());
+        let r = min_expected_cycles(&mdp, options);
         assert!(r.converged);
-        assert!(r.float32 || r.float32_fallback);
-        let exact = min_expected_cycles(&mdp, SolverOptions::default());
-        // Accepted f32 values carry a certified Bellman residual of at
-        // most f32_epsilon; the value error is residual / (1 − γ), loose
-        // here since per-sweep contraction is mild on this field.
-        assert_close(&r.values, &exact.values, 0.05, "f32 Rmin");
-        // The acceptance certificate holds in release builds too; re-check
-        // it the way the solver did.
+        assert!(
+            r.residual < options.epsilon,
+            "confirmed residual {} not below epsilon",
+            r.residual
+        );
         let artifact = meda_audit::ModelArtifact::from(&mdp);
         let cert = meda_audit::bellman_certificate(
             &artifact,
             &r.values,
             meda_audit::ValueKind::ExpectedCycles,
         );
-        assert!(cert.max_residual <= options.f32_epsilon);
-        assert!(cert.out_of_range.is_empty());
-
-        let p = max_reach_probability(&mdp, options.clone());
-        assert!(p.converged);
-        assert!(p.float32 || p.float32_fallback);
-        let p_exact = max_reach_probability(&mdp, SolverOptions::default());
-        assert_close(&p.values, &p_exact.values, 0.05, "f32 Pmax");
-    }
-
-    #[test]
-    fn float32_infeasible_tolerance_falls_back_to_f64() {
-        // An acceptance tolerance below f32 resolution at these value
-        // magnitudes cannot certify; the solver must fall back and still
-        // deliver the full-precision answer.
-        let mdp = area_mdp(0.4);
-        let r = min_expected_cycles(
-            &mdp,
-            SolverOptions {
-                float32: true,
-                f32_epsilon: 1e-12,
-                ..SolverOptions::default()
-            },
+        // 1-Lipschitz: one exact backup after the confirmation write-back
+        // moves values by at most the confirmed residual.
+        assert!(
+            cert.max_residual <= options.epsilon * 1.01,
+            "audit residual {} exceeds epsilon",
+            cert.max_residual
         );
-        assert!(r.converged);
-        assert!(r.float32_fallback);
-        assert!(!r.float32);
-        let exact = min_expected_cycles(&mdp, SolverOptions::default());
-        assert_close(&r.values, &exact.values, 1e-9, "fallback Rmin");
-    }
-
-    #[test]
-    fn prioritized_warm_restart_converges_after_local_patch() {
-        // The prioritized path's home turf: re-solve after a local health
-        // patch, seeded with the pre-patch values.
-        let healthy = min_expected_cycles(&area_mdp(1.0), SolverOptions::default());
-        let dims = ChipDims::new(10, 10);
-        let mut f = Grid::new(dims, 1.0);
-        f[Cell::new(5, 5)] = 0.3;
-        f[Cell::new(6, 5)] = 0.3;
-        let patched = RoutingMdp::build(
-            Rect::new(1, 1, 2, 2),
-            Rect::new(9, 9, 10, 10),
-            Rect::new(1, 1, 10, 10),
-            &RawField::new(f),
-            &ActionConfig::cardinal_only(),
-        )
-        .unwrap();
-        let warm_pq = min_expected_cycles(
-            &patched,
-            SolverOptions {
-                method: SolverMethod::Prioritized,
-                warm_start: Some(healthy.values.clone()),
-                ..SolverOptions::default()
-            },
-        );
-        let cold = min_expected_cycles(&patched, SolverOptions::default());
-        assert!(warm_pq.converged && cold.converged);
-        assert_close(&warm_pq.values, &cold.values, 1e-7, "patched Rmin");
     }
 }

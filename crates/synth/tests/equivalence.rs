@@ -243,7 +243,7 @@ fn check_case(
         ..SolverOptions::default()
     };
     assert_values_equal(
-        &max_reach_probability(&mdp, opts.clone()).values,
+        &max_reach_probability(&mdp, opts).values,
         &ref_pmax(&reference),
     );
     assert_values_equal(

@@ -247,12 +247,12 @@ fn hazard_encodings_agree_on_optimal_values() {
         .unwrap();
         let opts = SolverOptions::default();
         let (rg, rs) = (
-            min_expected_cycles(&guard, opts.clone()).values[guard.init()],
-            min_expected_cycles(&sink, opts.clone()).values[sink.init()],
+            min_expected_cycles(&guard, opts).values[guard.init()],
+            min_expected_cycles(&sink, opts).values[sink.init()],
         );
         assert!((rg - rs).abs() < 1e-6, "Rmin: {rg} vs {rs}");
         let (pg, ps) = (
-            max_reach_probability(&guard, opts.clone()).values[guard.init()],
+            max_reach_probability(&guard, opts).values[guard.init()],
             max_reach_probability(&sink, opts).values[sink.init()],
         );
         assert!((pg - ps).abs() < 1e-6, "Pmax: {pg} vs {ps}");

@@ -405,7 +405,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
         let artifact = ModelArtifact::from(&mdp);
         let options = SolverOptions::default();
-        let reach = max_reach_probability(&mdp, options.clone());
+        let reach = max_reach_probability(&mdp, options);
         let cycles = min_expected_cycles_with_reach(&mdp, options, &reach);
         let stats = mdp.stats();
         for (kind, result) in [
