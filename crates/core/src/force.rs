@@ -30,6 +30,19 @@ pub trait ForceProvider {
     }
 }
 
+/// A borrowed field is a field: lets callers hand `&&HealthField` (say, a
+/// binding that already holds a borrow from a live chip) to anything that
+/// takes `&dyn ForceProvider`.
+impl<T: ForceProvider + ?Sized> ForceProvider for &T {
+    fn cell_force(&self, cell: Cell) -> f64 {
+        (**self).cell_force(cell)
+    }
+
+    fn mean_force(&self, frontier: Rect) -> f64 {
+        (**self).mean_force(frontier)
+    }
+}
+
 /// How the controller turns a quantized health reading `H` into a
 /// degradation estimate: the true `D` lies in the bin
 /// `[H/2^b, (H+1)/2^b)`, so any planning value is bracketed by the two bin
@@ -142,6 +155,16 @@ impl HealthField {
         self.bits
     }
 
+    /// Overwrites the reading at one cell — how a live chip keeps **H**
+    /// current as single cells wear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is off-chip.
+    pub fn set(&mut self, cell: Cell, level: HealthLevel) {
+        self.health[cell] = level;
+    }
+
     /// A digest of the health values inside `region`, used as a
     /// strategy-library key by the hybrid scheduler (Section VI-D).
     #[must_use]
@@ -184,6 +207,16 @@ impl DegradationField {
     #[must_use]
     pub fn degradation(&self) -> &Grid<f64> {
         &self.degradation
+    }
+
+    /// Overwrites the degradation of one cell — how a live chip keeps **D**
+    /// current as single cells wear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is off-chip.
+    pub fn set(&mut self, cell: Cell, degradation: f64) {
+        self.degradation[cell] = degradation;
     }
 }
 

@@ -1,3 +1,5 @@
+use std::sync::OnceLock;
+
 use meda_rng::Rng;
 
 use meda_core::{DegradationField, HealthField};
@@ -79,6 +81,12 @@ impl Default for DegradationConfig {
 /// [`Biochip::degradation_field`] (ground truth **D**, for sampling
 /// outcomes) and [`Biochip::health_field`] (quantized **H**, what the
 /// controller can observe).
+///
+/// Both matrices are live state: the first read builds them, and from then
+/// on every actuation and kill re-evaluates just the cells it touched, with
+/// the same expression a full rebuild would use. Keeping them current so
+/// costs time in proportion to the cells a cycle actuates, not to the chip
+/// area.
 #[derive(Debug, Clone)]
 pub struct Biochip {
     dims: ChipDims,
@@ -86,6 +94,26 @@ pub struct Biochip {
     params: Grid<DegradationParams>,
     actuations: Grid<u64>,
     fault_at: Grid<Option<u64>>,
+    /// **D** and **H**, built on first read (never eagerly: most generated
+    /// chips are cloned or worn before anyone looks).
+    live: OnceLock<LiveFields>,
+}
+
+/// The live **D** and **H** of a [`Biochip`].
+#[derive(Debug, Clone)]
+struct LiveFields {
+    degradation: DegradationField,
+    health: HealthField,
+}
+
+/// Ground-truth degradation of one MC after `n` actuations: `τ^(n/c)`, or 0
+/// once a faulty MC's sudden-failure threshold has passed.
+fn degradation(params: &DegradationParams, n: u64, fault_at: Option<u64>) -> f64 {
+    if fault_at.is_some_and(|nf| n >= nf) {
+        0.0
+    } else {
+        params.degradation(n)
+    }
 }
 
 impl Biochip {
@@ -105,6 +133,7 @@ impl Biochip {
             params,
             actuations: Grid::new(dims, 0),
             fault_at,
+            live: OnceLock::new(),
         }
     }
 
@@ -139,43 +168,70 @@ impl Biochip {
         for (cell, &on) in pattern.iter() {
             if on {
                 self.actuations[cell] += 1;
+                self.refresh(cell);
                 count += 1;
             }
         }
         count
     }
 
+    /// Re-evaluates the live **D** and **H** at one on-chip cell after its
+    /// actuation count or fault threshold changed. Before the first read
+    /// there is nothing to keep current, and this does nothing.
+    fn refresh(&mut self, cell: Cell) {
+        let Self {
+            bits,
+            params,
+            actuations,
+            fault_at,
+            live,
+            ..
+        } = self;
+        if let Some(live) = live.get_mut() {
+            let d = degradation(&params[cell], actuations[cell], fault_at[cell]);
+            live.degradation.set(cell, d);
+            live.health
+                .set(cell, meda_degradation::quantize_health(d, *bits));
+        }
+    }
+
+    /// The live fields, built from **N** on first use.
+    fn live(&self) -> &LiveFields {
+        self.live.get_or_init(|| {
+            let d = Grid::from_fn(self.dims, |c| {
+                degradation(&self.params[c], self.actuations[c], self.fault_at[c])
+            });
+            let h = d.map(|_, &d| meda_degradation::quantize_health(d, self.bits));
+            LiveFields {
+                degradation: DegradationField::new(d),
+                health: HealthField::new(h, self.bits),
+            }
+        })
+    }
+
     /// Ground-truth degradation of one MC: `τ^(n/c)`, or 0 after a faulty
     /// MC's sudden-failure threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is off-chip.
     #[must_use]
     pub fn degradation_at(&self, cell: Cell) -> f64 {
-        let n = self.actuations[cell];
-        if let Some(nf) = self.fault_at[cell] {
-            if n >= nf {
-                return 0.0;
-            }
-        }
-        self.params[cell].degradation(n)
+        self.live().degradation.degradation()[cell]
     }
 
     /// The ground-truth degradation matrix **D** as a force field — the
     /// distribution the simulator samples droplet outcomes from.
     #[must_use]
-    pub fn degradation_field(&self) -> DegradationField {
-        DegradationField::new(Grid::from_fn(self.dims, |c| self.degradation_at(c)))
+    pub fn degradation_field(&self) -> &DegradationField {
+        &self.live().degradation
     }
 
     /// The observable health matrix **H** (quantized **D**) as a force
     /// field — everything a router is allowed to see.
     #[must_use]
-    pub fn health_field(&self) -> HealthField {
-        let bits = self.bits;
-        HealthField::new(
-            Grid::from_fn(self.dims, |c| {
-                meda_degradation::quantize_health(self.degradation_at(c), bits)
-            }),
-            bits,
-        )
+    pub fn health_field(&self) -> &HealthField {
+        &self.live().health
     }
 
     /// Total actuations across the chip — a wear indicator used by the
@@ -191,6 +247,7 @@ impl Biochip {
     pub fn kill_cell(&mut self, cell: Cell) {
         if let Some(slot) = self.fault_at.get_mut(cell) {
             *slot = Some(0);
+            self.refresh(cell);
         }
     }
 }
@@ -200,8 +257,7 @@ mod tests {
     use super::*;
     use meda_core::ForceProvider;
     use meda_grid::Rect;
-    use meda_rng::SeedableRng;
-    use meda_rng::StdRng;
+    use meda_rng::{Rng, SeedableRng, StdRng};
 
     fn chip(config: &DegradationConfig, seed: u64) -> Biochip {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -288,6 +344,132 @@ mod tests {
         assert_eq!(c.degradation_at(Cell::new(5, 5)), 1.0);
         // Off-chip kill is a no-op, not a panic.
         c.kill_cell(Cell::new(999, 999));
+    }
+
+    /// **D** recomputed from scratch, the way every read rebuilt it before
+    /// the chip kept live fields.
+    fn recomputed(chip: &Biochip) -> Grid<f64> {
+        Grid::from_fn(chip.dims, |c| {
+            let n = chip.actuations[c];
+            match chip.fault_at[c] {
+                Some(nf) if n >= nf => 0.0,
+                _ => chip.params[c].degradation(n),
+            }
+        })
+    }
+
+    fn assert_live_matches_recomputation(chip: &Biochip) {
+        let fresh = recomputed(chip);
+        let d = chip.degradation_field();
+        let h = chip.health_field();
+        assert_eq!(h.bits(), chip.bits());
+        for (cell, &want) in fresh.iter() {
+            assert_eq!(
+                chip.degradation_at(cell).to_bits(),
+                want.to_bits(),
+                "D at {cell}"
+            );
+            assert_eq!(
+                d.degradation()[cell].to_bits(),
+                want.to_bits(),
+                "field D at {cell}"
+            );
+            let level = meda_degradation::quantize_health(want, chip.bits());
+            assert_eq!(h.health()[cell], level, "H at {cell}");
+        }
+    }
+
+    /// A random rectangle, sometimes reaching past the chip edge (clipped).
+    fn random_pattern(dims: ChipDims, rng: &mut StdRng) -> Grid<bool> {
+        let (w, h) = (dims.width as i32, dims.height as i32);
+        let (xa, ya) = (rng.gen_range(-1..=w), rng.gen_range(-1..=h));
+        let (xb, yb) = (rng.gen_range(xa..=w + 1), rng.gen_range(ya..=h + 1));
+        let mut pattern = Grid::new(dims, false);
+        pattern.fill_rect(Rect::new(xa, ya, xb, yb), true);
+        pattern
+    }
+
+    /// Random wear: bursts of one actuation pattern (long enough to cross
+    /// health bins and fault thresholds) and kills, some of them off-chip.
+    fn wear_randomly(chip: &mut Biochip, rng: &mut StdRng, steps: usize) {
+        let dims = chip.dims();
+        for _ in 0..steps {
+            if rng.gen_bool(0.25) {
+                let cell = Cell::new(
+                    rng.gen_range(-2..=dims.width as i32 + 2),
+                    rng.gen_range(-2..=dims.height as i32 + 2),
+                );
+                chip.kill_cell(cell);
+            } else {
+                let pattern = random_pattern(dims, rng);
+                for _ in 0..rng.gen_range(1..=120usize) {
+                    chip.apply_actuation(&pattern);
+                }
+            }
+            if rng.gen_bool(0.3) {
+                assert_live_matches_recomputation(chip);
+            }
+        }
+    }
+
+    #[test]
+    fn live_fields_equal_recomputation_bit_for_bit() {
+        let config = DegradationConfig {
+            fault_mode: FaultMode::Uniform,
+            fault_fraction: 0.2,
+            fault_threshold: (3, 300),
+            ..DegradationConfig::paper()
+        };
+        for seed in 0..6 {
+            let mut c = chip(&config, 10 + seed);
+            let mut rng = StdRng::seed_from_u64(1000 + seed);
+            // Odd seeds read before any wear; even ones build the live
+            // fields only once the chip is already worn.
+            if seed % 2 == 1 {
+                assert_live_matches_recomputation(&c);
+            }
+            wear_randomly(&mut c, &mut rng, 20);
+            // Clone, then let the copies diverge: neither may see the
+            // other's wear through shared state.
+            let mut copy = c.clone();
+            wear_randomly(&mut c, &mut rng, 20);
+            wear_randomly(&mut copy, &mut rng, 20);
+            assert_live_matches_recomputation(&c);
+            assert_live_matches_recomputation(&copy);
+            assert!(
+                c.dims().cells().any(|cell| c.degradation_at(cell) == 0.0),
+                "seed {seed}: some fault threshold or kill must have fired"
+            );
+        }
+    }
+
+    #[test]
+    fn chip_with_live_fields_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Biochip>();
+    }
+
+    #[test]
+    fn force_read_through_a_reference_matches_direct_read() {
+        let mut c = chip(&DegradationConfig::paper(), 8);
+        let mut rng = StdRng::seed_from_u64(8);
+        wear_randomly(&mut c, &mut rng, 10);
+        let h = c.health_field();
+        let d = c.degradation_field();
+        let (h_ref, d_ref): (&dyn ForceProvider, &dyn ForceProvider) = (&h, &d);
+        for cell in Rect::new(-1, -1, 22, 12).cells() {
+            assert_eq!(
+                h_ref.cell_force(cell).to_bits(),
+                h.cell_force(cell).to_bits()
+            );
+            assert_eq!(
+                d_ref.cell_force(cell).to_bits(),
+                d.cell_force(cell).to_bits()
+            );
+        }
+        let frontier = Rect::new(19, 3, 21, 3);
+        assert_eq!(h_ref.mean_force(frontier), h.mean_force(frontier));
+        assert_eq!(d_ref.mean_force(frontier), d.mean_force(frontier));
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl BioassayRunner {
             debug_assert!(ready
                 .iter()
                 .all(|&id| inputs_available(&plan.operations()[id].inputs, &exec.resting)));
-            let picked = scheduler.pick(&ready, plan, &exec.chip.health_field());
+            let picked = scheduler.pick(&ready, plan, exec.chip.health_field());
             debug_assert!(ready.contains(&picked), "scheduler picked a non-ready op");
             let mo = &plan.operations()[picked];
             let result = exec.exec_mo(mo, &mut |e, job, held, _| {
@@ -270,6 +270,8 @@ pub(crate) struct Exec<'a, R: Rng> {
 #[derive(Debug, Default)]
 struct TelemetryAcc {
     cycles: u64,
+    /// Cells switched on, summed over cycles: the chip work a cycle does.
+    actuated_cells: u64,
     actuate_ns: u64,
     sense_ns: u64,
     sense_reads: u64,
@@ -282,6 +284,7 @@ impl Drop for TelemetryAcc {
         let t = meda_telemetry::global();
         t.add("sim.runs", 1);
         t.add("sim.cycles", self.cycles);
+        t.add("sim.actuated_cells", self.actuated_cells);
         t.add("sim.phase.actuate_ns", self.actuate_ns);
         t.add("sim.phase.sense_ns", self.sense_ns);
         t.add("sim.sense.reads", self.sense_reads);
@@ -466,7 +469,7 @@ impl<'a, R: Rng> Exec<'a, R> {
         router: &mut dyn Router,
         held: &[Rect],
     ) -> Result<Rect, JobError> {
-        if !router.begin_job(job, &self.chip.health_field()) {
+        if !router.begin_job(job, self.chip.health_field()) {
             return Err(JobError {
                 status: RunStatus::NoRoute,
                 at: job.start,
@@ -496,7 +499,7 @@ impl<'a, R: Rng> Exec<'a, R> {
                     });
                 }
             }
-            let Some(action) = router.next_action(sensed, &self.chip.health_field()) else {
+            let Some(action) = router.next_action(sensed, self.chip.health_field()) else {
                 self.pending = Some(actual);
                 return Err(JobError {
                     status: RunStatus::NoRoute,
@@ -564,7 +567,7 @@ impl<'a, R: Rng> Exec<'a, R> {
                 *next_radius += 1;
             }
         }
-        self.chip.apply_actuation(&pattern);
+        self.tele.actuated_cells += self.chip.apply_actuation(&pattern) as u64;
         self.cycles += 1;
         if let Some(trace) = self.trace.as_mut() {
             trace.push(pattern);
@@ -580,21 +583,15 @@ impl<'a, R: Rng> Exec<'a, R> {
     /// exactly the outcome roll when the plan has no intermittent cells,
     /// preserving seed reproducibility.
     pub(crate) fn sample(&mut self, droplet: Rect, action: Action) -> Rect {
-        let chaos = self.chaos;
-        let field = if chaos.intermittent.is_empty() {
-            self.chip.degradation_field()
-        } else {
-            let mut grid = Grid::from_fn(self.chip.dims(), |c| self.chip.degradation_at(c));
-            for glitch in &chaos.intermittent {
-                if self.rng.gen_bool(glitch.probability) {
-                    if let Some(d) = grid.get_mut(glitch.cell) {
-                        *d = 0.0;
-                    }
-                }
-            }
-            DegradationField::new(grid)
-        };
-        sample_outcome(droplet, action, &field, &mut self.rng)
+        let field = self.chip.degradation_field();
+        let dead: Vec<Cell> = self
+            .chaos
+            .intermittent
+            .iter()
+            .filter(|glitch| self.rng.gen_bool(glitch.probability))
+            .map(|glitch| glitch.cell)
+            .collect();
+        sample_outcome(droplet, action, &Glitched { field, dead: &dead }, self.rng)
     }
 
     /// Reads the location sensors: builds the **Y** matrix from the true
@@ -733,6 +730,24 @@ impl<'a, R: Rng> Exec<'a, R> {
             .iter()
             .min_by_key(|c| c.bounds.manhattan_gap(last_estimate))
             .map(|c| snap_to_size(c.bounds, last_estimate))
+    }
+}
+
+/// The live **D** with one cycle's glitched cells read as dead: what
+/// [`Exec::sample`] draws from under intermittent faults, without copying
+/// the chip-sized grid.
+struct Glitched<'a> {
+    field: &'a DegradationField,
+    dead: &'a [Cell],
+}
+
+impl ForceProvider for Glitched<'_> {
+    fn cell_force(&self, cell: Cell) -> f64 {
+        if self.dead.contains(&cell) {
+            0.0
+        } else {
+            self.field.cell_force(cell)
+        }
     }
 }
 
@@ -1123,5 +1138,54 @@ mod tests {
             )
         };
         assert_eq!(go(false), go(true));
+    }
+
+    /// The glitch overlay must draw exactly what sampling from a copy of
+    /// **D** with the glitched cells zeroed drew, from the same generator
+    /// state, so chaos runs with intermittent cells stay reproducible.
+    #[test]
+    fn glitch_overlay_samples_like_a_zeroed_copy_of_d() {
+        use crate::IntermittentCell;
+        let dims = ChipDims::new(12, 12);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut chip = Biochip::generate(dims, &DegradationConfig::paper(), &mut rng);
+        let mut wear = Grid::new(dims, false);
+        wear.fill_rect(Rect::new(3, 3, 9, 9), true);
+        for _ in 0..300 {
+            chip.apply_actuation(&wear);
+        }
+        let droplet = Rect::new(5, 5, 7, 7);
+        let glitch = |x, y, probability| IntermittentCell {
+            cell: Cell::new(x, y),
+            probability,
+        };
+        let chaos = FaultPlan {
+            intermittent: vec![
+                glitch(6, 8, 0.5),
+                glitch(8, 6, 0.3),
+                glitch(4, 5, 0.7),
+                glitch(6, 4, 0.2),
+                glitch(0, 6, 0.5), // off-chip: drawn for, never read
+            ],
+            ..FaultPlan::none()
+        };
+        let mut reference = rng.clone();
+        let mut exec = Exec::new(RunConfig::default(), &mut chip, &mut rng, &chaos);
+        for i in 0..400 {
+            let action = Action::Move(Dir::ALL[i % 4]);
+            let got = exec.sample(droplet, action);
+            let mut grid = exec.chip.degradation_field().degradation().clone();
+            for g in &chaos.intermittent {
+                if reference.gen_bool(g.probability) {
+                    if let Some(d) = grid.get_mut(g.cell) {
+                        *d = 0.0;
+                    }
+                }
+            }
+            let field = DegradationField::new(grid);
+            let want = sample_outcome(droplet, action, &field, &mut reference);
+            assert_eq!(got, want, "cycle {i}");
+        }
+        assert_eq!(*exec.rng, reference, "generators diverged");
     }
 }

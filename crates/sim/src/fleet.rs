@@ -499,7 +499,7 @@ impl FleetRunner {
                     if !ready.is_empty() {
                         let slots = cfg.max_active - tasks.len();
                         let health = exec.chip.health_field();
-                        let picks = scheduler.dispatch(&ready, plan, &health, slots);
+                        let picks = scheduler.dispatch(&ready, plan, health, slots);
                         for mo in picks {
                             match self.admit(
                                 mo,
@@ -582,7 +582,7 @@ impl FleetRunner {
                             boxes.extend(tasks[ti].walls.iter().copied());
                             router.set_hazards(&boxes);
                         }
-                        let action = match router.next_action(sensed, &health) {
+                        let action = match router.next_action(sensed, health) {
                             Some(a) => a,
                             None if !tasks[ti].walls.is_empty() => {
                                 // The escalation wall painted the job into a
@@ -590,7 +590,7 @@ impl FleetRunner {
                                 tasks[ti].walls.clear();
                                 let boxes = reservations.boxes_excluding(tasks[ti].mo);
                                 router.set_hazards(&boxes);
-                                match router.next_action(sensed, &health) {
+                                match router.next_action(sensed, health) {
                                     Some(a) => a,
                                     None => {
                                         if let Some(st) = self.mover_failure(
@@ -999,7 +999,7 @@ impl FleetRunner {
                 boxes.extend(task.walls.iter().copied());
                 router.set_hazards(&boxes);
             }
-            if !router.begin_job(job, &health) {
+            if !router.begin_job(job, health) {
                 return Err(JobError {
                     status: RunStatus::NoRoute,
                     at: job.start,

@@ -32,10 +32,9 @@ fn main() {
     // a capacitance and read it through the dual-DFF circuit.
     let params = CellParams::paper();
     let cycle = OperationalCycle::new(dims, params);
-    let caps = Grid::from_fn(dims, |c| {
+    let caps = chip.degradation_field().degradation().map(|_, &d| {
         // Interpolate Table I: D = 1 → healthy capacitance, D = 0 → fully
         // degraded capacitance.
-        let d = chip.degradation_at(c);
         params.cap_degraded - (params.cap_degraded - params.cap_healthy) * d
     });
     let report = cycle.run(&Grid::new(dims, false), &caps, &Grid::new(dims, false));

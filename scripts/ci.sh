@@ -137,19 +137,23 @@ makespan_full() { cargo run --release -p meda-bench --bin bench_makespan; }
 serve_full()    { cargo run --release -p meda-bench --bin bench_serve; }
 profile_smoke() { cargo run --release -- profile covid-rat; }
 # The repository benchmark (perfbench/, its own workspace) has its own
-# tests, and its serve-replay workload checks every response it replays
-# (no errors, all-hit warm and restart phases, byte-identical restarts,
-# value bits equal to direct synthesis). One second on the held-out seed
-# must end with `"correct":true` on the last line of stdout.
+# tests, and every workload checks its own rounds: serve-replay checks each
+# response it replays (no errors, all-hit warm and restart phases,
+# byte-identical restarts, value bits equal to direct synthesis), and
+# reuse-adaptive and fleet-chaos replay cloned chips and must reproduce
+# every round bit for bit. One second of each workload on the held-out
+# seed must end with `"correct":true` on the last line of stdout.
 perfbench_smoke() {
   cargo test --release --offline --manifest-path perfbench/Cargo.toml
-  local last
-  last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload serve-replay --seed 7919 --seconds 1 --trace 0 | tail -n 1)
-  case "$last" in
-    *'"correct":true'*) echo "perfbench-smoke: serve-replay seed 7919 is correct" ;;
-    *) echo "perfbench-smoke: serve-replay did not report \"correct\":true: $last" >&2; return 1 ;;
-  esac
+  local workload last
+  for workload in serve-replay fleet-chaos reuse-adaptive; do
+    last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 7919 --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+      *'"correct":true'*) echo "perfbench-smoke: $workload seed 7919 is correct" ;;
+      *) echo "perfbench-smoke: $workload did not report \"correct\":true: $last" >&2; return 1 ;;
+    esac
+  done
 }
 # Diff the fresh target/bench/ runs against the committed baselines;
 # >25% timing regressions in smoke mode fail (see EXPERIMENTS.md to re-bless).

@@ -645,7 +645,7 @@ fn cmd_wear(args: &[String]) -> Result<(), String> {
     println!("wear after {runs} runs of {name} (log-scale buckets, north up):");
     println!("{}", render::wear_map(&chip));
     println!("\nhealth map:");
-    println!("{}", render::health_map(&chip.health_field(), &[]));
+    println!("{}", render::health_map(chip.health_field(), &[]));
     Ok(())
 }
 

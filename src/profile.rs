@@ -119,7 +119,7 @@ pub fn profile_assay(name: &str, options: &ProfileOptions) -> Result<ProfileRepo
         let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
         {
             let _stage = registry.span("warmup");
-            router.warm_up(&plan, &chip.health_field());
+            router.warm_up(&plan, chip.health_field());
         }
 
         let config = RunConfig {

@@ -92,6 +92,7 @@ fn profile_emits_schema_stable_json() {
     assert!(counter("synth.solve.pmax.count") >= 1.0);
     assert!(counter("synth.solve.rmin.count") >= 1.0);
     assert!(counter("sim.cycles") > 0.0);
+    assert!(counter("sim.actuated_cells") > 0.0);
 
     // The residual-trajectory histogram recorded at least one sweep.
     let histograms = doc
